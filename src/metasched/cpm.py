@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import InstanceError, ModeVector, ProjectNetwork, TctpInstance
+from .model import CompiledNetwork, InstanceError, ModeVector, ProjectNetwork, TctpInstance
 
 
 @dataclass(frozen=True)
@@ -23,40 +23,37 @@ class CpmResult:
     critical: frozenset[int]
 
 
-def forward_pass(net: ProjectNetwork, durations: dict[int, int]) -> dict[int, tuple[int, int]]:
-    """Early start/finish per activity: start at the latest predecessor finish."""
-    _check_durations(net, durations)
-    times: dict[int, tuple[int, int]] = {}
-    for aid in net.topological_order():
-        preds = net.predecessors.get(aid, frozenset())
-        es = max((times[p][1] for p in preds), default=0)
-        times[aid] = (es, es + durations[aid])
-    return times
+def forward_pass(
+    net: ProjectNetwork, durations: dict[int, int] | None = None
+) -> dict[int, tuple[int, int]]:
+    """Early start/finish per activity: start at the latest predecessor finish.
+
+    `durations` defaults to the activities' own, here and in `backward_pass`.
+    """
+    view = net.compiled
+    dense = _dense_durations(view, durations)
+    finish = view.early_finish(dense)
+    return {view.ids[i]: (finish[i] - dense[i], finish[i]) for i in view.order}
 
 
 def backward_pass(
-    net: ProjectNetwork, durations: dict[int, int], makespan: int
+    net: ProjectNetwork, durations: dict[int, int] | None, makespan: int
 ) -> dict[int, tuple[int, int]]:
     """Late start/finish per activity, anchored at the given makespan."""
-    _check_durations(net, durations)
-    earliest = forward_pass(net, durations)
-    project_end = max((ef for _, ef in earliest.values()), default=0)
+    view = net.compiled
+    dense = _dense_durations(view, durations)
+    start = view.late_start(dense, makespan)
+    # The earliest late start falls short of `makespan` by the longest path.
+    project_end = makespan - min(start, default=makespan)
     if makespan < project_end:
         raise InstanceError(
             f"makespan {makespan} below forward-pass makespan {project_end}"
         )
-    succ = net.successors()
-    times: dict[int, tuple[int, int]] = {}
-    for aid in reversed(net.topological_order()):
-        lf = min((times[s][0] for s in succ[aid]), default=makespan)
-        times[aid] = (lf - durations[aid], lf)
-    return times
+    return {view.ids[i]: (start[i], start[i] + dense[i]) for i in reversed(view.order)}
 
 
 def compute_cpm(net: ProjectNetwork, durations: dict[int, int] | None = None) -> CpmResult:
     """Both passes plus floats; critical activities are those with zero float."""
-    if durations is None:
-        durations = net.durations()
     earliest = forward_pass(net, durations)
     makespan = max((ef for _, ef in earliest.values()), default=0)
     latest = backward_pass(net, durations, makespan)
@@ -72,14 +69,15 @@ def compute_cpm(net: ProjectNetwork, durations: dict[int, int] | None = None) ->
 def makespan_for_modes(instance: TctpInstance, modes: ModeVector) -> int:
     """Project duration when each activity runs at its chosen option's duration."""
     modes.validate(instance)
-    durations = {
-        aid: instance.option(aid, idx).duration for aid, idx in modes.choices.items()
-    }
-    earliest = forward_pass(instance.network, durations)
-    return max((ef for _, ef in earliest.values()), default=0)
+    view = instance.network.compiled
+    durations = [instance.option(aid, modes.choices[aid]).duration for aid in view.ids]
+    return max(view.early_finish(durations), default=0)
 
 
-def _check_durations(net: ProjectNetwork, durations: dict[int, int]) -> None:
-    missing = [aid for aid in net.ids if aid not in durations]
+def _dense_durations(view: CompiledNetwork, durations: dict[int, int] | None):
+    if durations is None:
+        return view.durations
+    missing = [aid for aid in view.ids if aid not in durations]
     if missing:
         raise InstanceError(f"missing duration for activities {missing}")
+    return [durations[aid] for aid in view.ids]

@@ -59,7 +59,8 @@ class ProjectNetwork:
     activity id to a (possibly empty) frozenset of activity ids. Construction
     does not validate: `validate_network` reports violations of the acyclicity
     and reference invariants, so that broken inputs can be diagnosed rather
-    than rejected opaquely.
+    than rejected opaquely. The first use of `compiled` raises `InstanceError`
+    on a network that violates them.
     """
 
     activities: tuple[Activity, ...]
@@ -84,38 +85,127 @@ class ProjectNetwork:
     def _demand_map(self) -> dict[int, int]:
         return {a.id: a.resource_demand for a in self.activities}
 
+    @cached_property
+    def compiled(self) -> CompiledNetwork:
+        """The dense-index view every graph walk reads, built on first use."""
+        return CompiledNetwork.build(self)
+
     def durations(self) -> dict[int, int]:
         return dict(self._duration_map)
 
     def successors(self) -> dict[int, frozenset[int]]:
-        succ: dict[int, set[int]] = {a.id: set() for a in self.activities}
-        for aid, preds in self.predecessors.items():
-            for p in preds:
-                succ[p].add(aid)
-        return {aid: frozenset(s) for aid, s in succ.items()}
+        view = self.compiled
+        ids = view.ids
+        return {aid: frozenset(ids[s] for s in view.succs[i]) for i, aid in enumerate(ids)}
 
     def topological_order(self) -> tuple[int, ...]:
-        """Deterministic topological order (ties broken by activity id)."""
-        remaining = {a.id: set(self.predecessors.get(a.id, ())) for a in self.activities}
-        order: list[int] = []
-        while remaining:
-            ready = sorted(aid for aid, preds in remaining.items() if not preds)
-            if not ready:
-                raise InstanceError(f"cycle among activities {sorted(remaining)}")
-            for aid in ready:
-                del remaining[aid]
-                order.append(aid)
-            for preds in remaining.values():
-                preds.difference_update(ready)
-        return tuple(order)
+        """Deterministic topological order: level by level from the sources,
+        ties broken by activity id."""
+        return tuple(map(self.compiled.ids.__getitem__, self.compiled.order))
+
+
+@dataclass(frozen=True)
+class CompiledNetwork:
+    """Dense-index view of a `ProjectNetwork`: activity `ids[i]` is index i,
+    in the network's activity order, and every list below is indexed by i.
+
+    `order` holds the indices level by level (an activity's level is the
+    length of the longest predecessor chain ending at it), each level in
+    ascending id order. `preds`/`succs` hold index tuples in ascending index
+    order, and `durations` the activities' own durations.
+    """
+
+    ids: tuple[int, ...]
+    index: dict[int, int]
+    order: tuple[int, ...]
+    preds: tuple[tuple[int, ...], ...]
+    succs: tuple[tuple[int, ...], ...]
+    durations: tuple[int, ...]
+
+    @classmethod
+    def build(cls, net: ProjectNetwork) -> CompiledNetwork:
+        """Kahn's source elimination in O(n + e), then one sort by (level, id).
+
+        Raises `InstanceError` on a duplicate id, a reference to an unknown
+        activity, or a cycle; a cycle is reported with every activity the
+        elimination could not reach.
+        """
+        ids = net.ids
+        index: dict[int, int] = {}
+        for i, aid in enumerate(ids):
+            if aid in index:
+                raise InstanceError(f"duplicate activity id {aid}")
+            index[aid] = i
+        preds = []
+        for aid in ids:
+            try:
+                preds.append(tuple(sorted(index[p] for p in net.predecessors.get(aid, ()))))
+            except KeyError as exc:
+                raise InstanceError(
+                    f"activity {aid} depends on nonexistent activity {exc.args[0]}"
+                ) from None
+        succs: list[list[int]] = [[] for _ in ids]
+        for i, ps in enumerate(preds):
+            for p in ps:
+                succs[p].append(i)
+
+        indegree = [len(ps) for ps in preds]
+        level = [0] * len(ids)
+        done = [i for i, deg in enumerate(indegree) if deg == 0]
+        for i in done:  # grows while it is walked: a FIFO queue
+            for s in succs[i]:
+                if level[s] <= level[i]:
+                    level[s] = level[i] + 1
+                indegree[s] -= 1
+                if indegree[s] == 0:
+                    done.append(s)
+        if len(done) < len(ids):
+            stuck = sorted(ids[i] for i, deg in enumerate(indegree) if deg)
+            raise InstanceError(f"cycle among activities {stuck}")
+        done.sort(key=lambda i: (level[i], ids[i]))
+        return cls(
+            ids=ids,
+            index=index,
+            order=tuple(done),
+            preds=tuple(preds),
+            succs=tuple(map(tuple, succs)),
+            durations=tuple(a.duration for a in net.activities),
+        )
+
+    def early_finish(self, durations) -> list[int]:
+        """Forward pass: each activity's earliest finish when it starts at
+        its latest predecessor's finish; `durations` is indexed like `ids`."""
+        finish = [0] * len(durations)
+        preds = self.preds
+        for i in self.order:
+            start = 0
+            for p in preds[i]:
+                if finish[p] > start:
+                    start = finish[p]
+            finish[i] = start + durations[i]
+        return finish
+
+    def late_start(self, durations, makespan: int) -> list[int]:
+        """Backward pass over the successor lists: each activity's latest
+        start that lets every successor start by its own latest start and
+        the project end by `makespan`."""
+        start = [0] * len(durations)
+        succs = self.succs
+        for i in reversed(self.order):
+            finish = makespan
+            for s in succs[i]:
+                if start[s] < finish:
+                    finish = start[s]
+            start[i] = finish - durations[i]
+        return start
 
 
 def validate_network(net: ProjectNetwork) -> list[str]:
     """Check a network's structural invariants.
 
     Returns a list of human-readable violations; empty iff ids are unique,
-    every reference resolves, the relation is acyclic, and the network has
-    at least one source and one sink.
+    every reference resolves, and the relation is acyclic (so a non-empty
+    network has at least one source and one sink).
     """
     report: list[str] = []
     ids = [a.id for a in net.activities]
@@ -131,23 +221,17 @@ def validate_network(net: ProjectNetwork) -> list[str]:
         for p in preds:
             if p not in known:
                 report.append(f"activity {aid} depends on nonexistent activity {p}")
-    # Cycle check by repeated source elimination over resolvable references.
-    remaining = {aid: {p for p in net.predecessors.get(aid, ()) if p in known} for aid in known}
-    while remaining:
-        ready = [aid for aid, preds in remaining.items() if not preds]
-        if not ready:
-            report.append(f"cycle among activities {sorted(remaining)}")
-            break
-        for aid in ready:
-            del remaining[aid]
-        for preds in remaining.values():
-            preds.difference_update(ready)
-    if not report and net.activities:
-        if all(net.predecessors.get(a.id) for a in net.activities):
-            report.append("no source activity (every activity has predecessors)")
-        succ = net.successors()
-        if all(succ[a.id] for a in net.activities):
-            report.append("no sink activity (every activity has successors)")
+    # Cycle check over the resolvable references, by compiling them.
+    resolved = net
+    if report:
+        resolved = ProjectNetwork(
+            activities=tuple({a.id: a for a in net.activities}.values()),
+            predecessors={aid: net.predecessors.get(aid, frozenset()) & known for aid in known},
+        )
+    try:
+        resolved.compiled
+    except InstanceError as exc:
+        report.append(str(exc))
     return report
 
 
@@ -157,11 +241,6 @@ def derive_precedence_from_nodes(arcs: list[AoaArc] | tuple[AoaArc, ...]) -> Pro
     Activity j is a successor of activity i iff j starts at the node i ends
     at. The arc order is preserved in the resulting activity tuple.
     """
-    seen: set[int] = set()
-    for arc in arcs:
-        if arc.activity_id in seen:
-            raise InstanceError(f"duplicate activity id {arc.activity_id}")
-        seen.add(arc.activity_id)
     by_end: dict[int, set[int]] = {}
     for arc in arcs:
         by_end.setdefault(arc.end_node, set()).add(arc.activity_id)
@@ -172,7 +251,7 @@ def derive_precedence_from_nodes(arcs: list[AoaArc] | tuple[AoaArc, ...]) -> Pro
         a.activity_id: frozenset(by_end.get(a.start_node, ())) for a in arcs
     }
     net = ProjectNetwork(activities=activities, predecessors=predecessors)
-    net.topological_order()  # raises if the node structure induced a cycle
+    net.compiled  # raises on a duplicate id or a cycle the node structure induced
     return net
 
 

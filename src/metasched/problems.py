@@ -4,6 +4,7 @@ lists and time-cost trade-off over option-index vectors."""
 from __future__ import annotations
 
 import random
+from operator import getitem
 
 from .model import ModeVector, ProjectNetwork, TctpInstance
 from .rcpsp import is_precedence_feasible, random_activity_list, serial_sgs
@@ -20,6 +21,7 @@ from .search import (
 def rcpsp_problem(net: ProjectNetwork, capacity: int) -> SearchProblem:
     """Makespan minimization over precedence-feasible activity lists decoded
     by the serial schedule-generation scheme."""
+    net.compiled  # raises InstanceError on a cycle or a dangling reference
     n = len(net.activities)
     direct_preds = {aid: net.predecessors.get(aid, frozenset()) for aid in net.ids}
 
@@ -67,37 +69,28 @@ def rcpsp_problem(net: ProjectNetwork, capacity: int) -> SearchProblem:
 def tctp_problem(instance: TctpInstance, indirect_cost: int | None = None) -> SearchProblem:
     """Total-cost minimization over 1-based option-index vectors.
 
-    Candidates align with the instance's activity order; the forward pass is
-    inlined over precomputed index arrays so a fitness call is cheap enough
-    for large evaluation budgets.
+    Candidates align with the instance's activity order; a fitness call is
+    the compiled network's forward pass over the chosen options' durations,
+    cheap enough for large evaluation budgets.
     """
     if indirect_cost is None:
         indirect_cost = instance.indirect_cost_per_day
-    ids = list(instance.network.ids)
-    index_of = {aid: i for i, aid in enumerate(ids)}
+    view = instance.network.compiled
+    ids = view.ids
     n = len(ids)
+    # Padded at position 0 so that a 1-based option index reads its entry.
     option_durations = [
-        tuple(o.duration for o in instance.options[aid]) for aid in ids
+        (0, *(o.duration for o in instance.options[aid])) for aid in ids
     ]
     option_costs = [
-        tuple(o.direct_cost for o in instance.options[aid]) for aid in ids
+        (0, *(o.direct_cost for o in instance.options[aid])) for aid in ids
     ]
     option_counts = tuple(len(instance.options[aid]) for aid in ids)
-    topo = [index_of[aid] for aid in instance.network.topological_order()]
-    preds_idx = [
-        [index_of[p] for p in instance.network.predecessors.get(aid, ())] for aid in ids
-    ]
+    early_finish = view.early_finish
 
     def evaluate(modes: tuple) -> tuple[float, int, int]:
-        finish = [0] * n
-        for i in topo:
-            start = 0
-            for p in preds_idx[i]:
-                if finish[p] > start:
-                    start = finish[p]
-            finish[i] = start + option_durations[i][modes[i] - 1]
-        duration = max(finish)
-        direct = sum(option_costs[i][modes[i] - 1] for i in range(n))
+        duration = max(early_finish(list(map(getitem, option_durations, modes))))
+        direct = sum(map(getitem, option_costs, modes))
         return float(duration * indirect_cost + direct), duration, direct
 
     def initial(rng: random.Random) -> tuple:

@@ -4,6 +4,7 @@ resource profiles, and feasibility audits under a single renewable capacity."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .model import InstanceError, ProjectNetwork
@@ -44,15 +45,19 @@ def is_precedence_feasible(net: ProjectNetwork, order: tuple[int, ...]) -> bool:
 
 def random_activity_list(net: ProjectNetwork, rng: random.Random) -> tuple[int, ...]:
     """Uniformly random-ish precedence-feasible permutation (random eligible pick)."""
-    remaining = {aid: set(net.predecessors.get(aid, ())) for aid in net.ids}
+    view = net.compiled
+    ids, index, succs = view.ids, view.index, view.succs
+    indegree = [len(ps) for ps in view.preds]
+    ready = sorted(ids[i] for i, deg in enumerate(indegree) if deg == 0)
     order: list[int] = []
-    while remaining:
-        ready = sorted(aid for aid, preds in remaining.items() if not preds)
+    while ready:
         pick = rng.choice(ready)
-        del remaining[pick]
+        del ready[bisect_left(ready, pick)]
         order.append(pick)
-        for preds in remaining.values():
-            preds.discard(pick)
+        for s in succs[index[pick]]:
+            indegree[s] -= 1
+            if indegree[s] == 0:
+                insort(ready, ids[s])
     return tuple(order)
 
 

@@ -106,9 +106,6 @@ class SearchProblem:
     mutate: Callable[[Candidate, float, random.Random], Candidate]
     is_feasible: Callable[[Candidate], bool]
 
-    def fitness(self, candidate: Candidate) -> float:
-        return self.evaluate(candidate)[0]
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -385,24 +382,24 @@ def order_crossover(
 
 
 def repair_precedence(net: ProjectNetwork, order: tuple) -> tuple:
-    """Stable topological reinsertion: among ready activities, always emit the
-    one appearing earliest in the given order."""
-    position = {aid: i for i, aid in enumerate(order)}
-    indegree = {aid: len(net.predecessors.get(aid, ())) for aid in order}
-    followers: dict = {aid: [] for aid in order}
-    for aid in order:
-        for p in net.predecessors.get(aid, ()):
-            followers[p].append(aid)
-    ready = [position[aid] for aid, deg in indegree.items() if deg == 0]
-    heapq.heapify(ready)
+    """Stable topological reinsertion of a permutation of the network's ids:
+    among ready activities, always emit the one appearing earliest in `order`."""
+    view = net.compiled
+    dense = [view.index[aid] for aid in order]
+    position = [0] * len(dense)
+    for pos, i in enumerate(dense):
+        position[i] = pos
+    indegree = [len(ps) for ps in view.preds]
+    ready = [pos for pos, i in enumerate(dense) if indegree[i] == 0]  # ascending: a heap
+    succs = view.succs
     repaired: list = []
     while ready:
-        pick = order[heapq.heappop(ready)]
-        repaired.append(pick)
-        for follower in followers[pick]:
-            indegree[follower] -= 1
-            if indegree[follower] == 0:
-                heapq.heappush(ready, position[follower])
+        pos = heapq.heappop(ready)
+        repaired.append(order[pos])
+        for s in succs[dense[pos]]:
+            indegree[s] -= 1
+            if indegree[s] == 0:
+                heapq.heappush(ready, position[s])
     return tuple(repaired)
 
 

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from metasched.cpm import compute_cpm
+from metasched.model import Activity, InstanceError, ProjectNetwork
+from metasched.problems import rcpsp_problem
 from metasched.rcpsp import (
     Schedule,
     SchedulingError,
@@ -77,6 +79,17 @@ def test_random_lists_always_feasible(table1):
         schedule = serial_sgs(table1, 7, order)
         assert check_schedule(table1, schedule, 7) == []
         assert schedule.makespan >= 126  # resource constraints never help
+
+
+def test_cyclic_network_rejected_by_name():
+    net = ProjectNetwork(
+        activities=(Activity(1, 2), Activity(2, 3), Activity(3, 1), Activity(4, 5)),
+        predecessors={1: frozenset({3}), 2: frozenset({1}), 3: frozenset({2}), 4: frozenset()},
+    )
+    with pytest.raises(InstanceError, match=r"cycle among activities \[1, 2, 3\]"):
+        random_activity_list(net, random.Random(0))
+    with pytest.raises(InstanceError, match=r"cycle among activities \[1, 2, 3\]"):
+        rcpsp_problem(net, capacity=5)
 
 
 def test_random_networks_schedules_audit_clean():

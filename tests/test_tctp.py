@@ -1,7 +1,12 @@
+import random
+from dataclasses import replace
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metasched.model import ModeVector
+from metasched.problems import modes_to_vector, tctp_problem
 from metasched.tctp import (
     ParetoArchive,
     ParetoPoint,
@@ -30,14 +35,22 @@ class TestEvaluate:
             assert ev.total_cost == direct  # indirect cost is zero here
 
     def test_indirect_cost_enters_total(self, table2):
-        from dataclasses import replace
-
         priced = replace(table2, indirect_cost_per_day=230)
         ev = evaluate_mode_vector(priced, ModeVector.uniform(priced, 1))
         assert ev.total_cost == 100 * 230 + 169820
 
     def test_min_direct_cost(self, table2):
         assert min_direct_cost(table2) == 99740
+
+    @pytest.mark.parametrize("indirect", [0, 230, 10**6])
+    def test_search_evaluator_agrees(self, table2, indirect):
+        priced = replace(table2, indirect_cost_per_day=indirect)
+        problem = tctp_problem(priced)
+        rng = random.Random(indirect)
+        for _ in range(500):
+            candidate = problem.initial(rng)
+            ev = evaluate_mode_vector(priced, modes_to_vector(priced, candidate))
+            assert problem.evaluate(candidate) == (ev.total_cost, ev.duration, ev.direct_cost)
 
 
 class TestDominance:
