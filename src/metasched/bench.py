@@ -4,7 +4,7 @@ non-dominated front, and deterministic CSV/JSON exports."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .instances import load_network, load_tctp
@@ -14,6 +14,7 @@ from .search import GaConfig, RunResult, SaConfig, SearchProblem, TsConfig, run_
 
 ALGORITHMS = ("sa", "ts", "ga")
 _RUNNERS = {"sa": run_sa, "ts": run_ts, "ga": run_ga}
+_CONFIG_TYPES = {"sa": SaConfig, "ts": TsConfig, "ga": GaConfig}
 
 
 @dataclass(frozen=True)
@@ -48,24 +49,56 @@ class ExperimentSpec:
             data = json.loads(document)
         except json.JSONDecodeError as exc:
             raise InstanceError(f"malformed experiment spec: {exc}") from exc
+        if not isinstance(data, dict):
+            raise InstanceError("malformed experiment spec: top level must be an object")
+        problem = data.get("problem")
+        if not isinstance(problem, dict):
+            raise InstanceError("experiment spec needs a 'problem' object")
+        missing = [key for key in ("kind", "instance") if key not in problem]
+        if missing:
+            raise InstanceError(f"experiment spec 'problem' lacks {missing}")
         seeds = data.get("seeds")
-        if seeds is None and "base_seed" in data:
-            seeds = list(range(data["base_seed"], data["base_seed"] + data.get("runs", 10)))
+        try:
+            if seeds is None and "base_seed" in data:
+                seeds = range(data["base_seed"], data["base_seed"] + data.get("runs", 10))
+            seeds = tuple(int(s) for s in seeds or ())
+            max_evaluations = int(data.get("max_evaluations", 20_000))
+            algorithms = tuple(data.get("algorithms", ALGORITHMS))
+        except (TypeError, ValueError) as exc:
+            raise InstanceError(f"malformed experiment spec: {exc}") from exc
         if not seeds:
             raise InstanceError("experiment spec needs 'seeds' or 'base_seed'/'runs'")
-        configs = data.get("configs", {})
         return cls(
-            problem_kind=data["problem"]["kind"],
-            instance=data["problem"]["instance"],
-            capacity=data["problem"].get("capacity"),
-            indirect_cost=data["problem"].get("indirect_cost"),
-            seeds=tuple(int(s) for s in seeds),
-            max_evaluations=int(data.get("max_evaluations", 20_000)),
-            algorithms=tuple(data.get("algorithms", ALGORITHMS)),
-            sa=SaConfig(**configs.get("sa", {})),
-            ts=TsConfig(**configs.get("ts", {})),
-            ga=GaConfig(**configs.get("ga", {})),
+            problem_kind=problem["kind"],
+            instance=problem["instance"],
+            capacity=problem.get("capacity"),
+            indirect_cost=problem.get("indirect_cost"),
+            seeds=seeds,
+            max_evaluations=max_evaluations,
+            algorithms=algorithms,
+            **algorithm_configs(data.get("configs", {})),
         )
+
+
+def algorithm_configs(sections, overrides: dict[str, dict] | None = None) -> dict:
+    """SA, TS and GA configs from a JSON object of per-algorithm sections,
+    each section's keys updated by `overrides[name]`.
+
+    Raises `InstanceError` when `sections` or a section is not an object or
+    a section names a key its config does not have.
+    """
+    if not isinstance(sections, dict):
+        raise InstanceError("algorithm configs must be an object with 'sa'/'ts'/'ga' sections")
+    configs = {}
+    for name, config_type in _CONFIG_TYPES.items():
+        section = sections.get(name, {})
+        if not isinstance(section, dict):
+            raise InstanceError(f"{name} config must be an object")
+        unknown = sorted(set(section) - {f.name for f in fields(config_type)})
+        if unknown:
+            raise InstanceError(f"unknown {name} config keys {unknown}")
+        configs[name] = config_type(**{**section, **(overrides or {}).get(name, {})})
+    return configs
 
 
 @dataclass(frozen=True)

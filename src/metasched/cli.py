@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .bench import ExperimentSpec, run_experiment, write_report
+from .bench import ExperimentSpec, algorithm_configs, run_experiment, write_report
 from .cpm import compute_cpm
 from .instances import (
     export_bundled,
@@ -25,11 +25,11 @@ from .instances import (
     load_network,
     load_tctp,
 )
-from .model import AOA_FORMAT, TCTP_FORMAT, InstanceError
+from .model import AOA_FORMAT, TCTP_FORMAT, InstanceError, TctpInstance, induced_subnetwork
 from .oracle import OracleGuard, exhaustive_rcpsp, exhaustive_tctp, longest_path_makespan
 from .problems import modes_to_vector, rcpsp_problem, tctp_problem
 from .rcpsp import SchedulingError, constrained_critical, resource_profile, serial_sgs
-from .search import GaConfig, SaConfig, TsConfig, run_ga, run_sa, run_ts
+from .search import run_ga, run_sa, run_ts
 
 _RUNNERS = {"sa": run_sa, "ts": run_ts, "ga": run_ga}
 
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rcpsp.add_argument("--capacity", type=int, required=True)
     p_rcpsp.add_argument("--algo", choices=("sa", "ts", "ga"), default="ga")
     p_rcpsp.add_argument("--seed", type=int)
-    p_rcpsp.add_argument("--max-evals", type=int, default=20_000)
+    p_rcpsp.add_argument("--max-evals", type=_positive_int, default=20_000)
     p_rcpsp.add_argument("--list", dest="fixed_list", help="comma-separated activity ids; decode without searching")
     p_rcpsp.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p_rcpsp.add_argument("--trace", help="write per-evaluation best-so-far CSV here")
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tctp.add_argument("--indirect-cost", type=int)
     p_tctp.add_argument("--algo", choices=("sa", "ts", "ga"), default="ga")
     p_tctp.add_argument("--seed", type=int)
-    p_tctp.add_argument("--max-evals", type=int, default=20_000)
+    p_tctp.add_argument("--max-evals", type=_positive_int, default=20_000)
     p_tctp.add_argument("--emit-front", help="write this run's non-dominated set as CSV")
     p_tctp.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p_tctp.add_argument("--trace", help="write per-evaluation best-so-far CSV here")
@@ -98,7 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="exact reference answers (small inputs)")
     p_oracle.add_argument("kind", choices=("cpm", "tctp", "rcpsp"))
     p_oracle.add_argument("--instance", required=True)
-    p_oracle.add_argument("--activities", help="id range like 1-8 to restrict the instance")
+    p_oracle.add_argument(
+        "--activities", type=_id_set, help="id range like 1-8, or ids like 1,3,5, to restrict the instance"
+    )
     p_oracle.add_argument("--capacity", type=int)
     p_oracle.add_argument("--indirect-cost", type=int)
     p_oracle.set_defaults(handler=cmd_oracle)
@@ -119,13 +121,44 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sa-cooling", type=float)
     parser.add_argument("--sa-steps", type=int)
     parser.add_argument("--ts-tenure", type=int)
-    parser.add_argument("--ts-sample", help="neighborhood sample size or 'full'")
+    parser.add_argument("--ts-sample", type=_sample_size, help="neighborhood sample size or 'full'")
     parser.add_argument("--ts-stagnation", type=int)
     parser.add_argument("--ga-pop", type=int)
     parser.add_argument("--ga-crossover", type=float)
     parser.add_argument("--ga-mutation", type=float)
     parser.add_argument("--ga-tournament", type=int)
     parser.add_argument("--ga-elitism", type=int)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _sample_size(text: str) -> int | str:
+    return text if text == "full" else _positive_int(text)
+
+
+def _id_set(text: str) -> set[int]:
+    """An inclusive id range like 1-8, or comma-separated ids."""
+    try:
+        if "-" in text:
+            lo, hi = text.split("-", 1)
+            ids = set(range(int(lo), int(hi) + 1))
+        else:
+            ids = {int(x) for x in text.split(",")}
+    except ValueError:
+        ids = set()
+    if not ids:
+        raise argparse.ArgumentTypeError(
+            f"expected an id range like 1-8 or ids like 1,3,5, got {text!r}"
+        )
+    return ids
 
 
 def resolve_configs(args) -> dict[str, object]:
@@ -135,9 +168,7 @@ def resolve_configs(args) -> dict[str, object]:
     path = args.config or os.environ.get("METASCHED_CONFIG")
     if path:
         sections = json.loads(Path(path).read_text(encoding="utf-8"))
-    sa = dict(sections.get("sa", {}))
-    ts = dict(sections.get("ts", {}))
-    ga = dict(sections.get("ga", {}))
+    sa, ts, ga = {}, {}, {}
     if args.sa_initial_temp is not None:
         sa["initial_temperature"] = args.sa_initial_temp
     if args.sa_cooling is not None:
@@ -147,9 +178,7 @@ def resolve_configs(args) -> dict[str, object]:
     if args.ts_tenure is not None:
         ts["tabu_tenure"] = args.ts_tenure
     if args.ts_sample is not None:
-        ts["neighborhood_sample"] = (
-            "full" if args.ts_sample == "full" else int(args.ts_sample)
-        )
+        ts["neighborhood_sample"] = args.ts_sample
     if args.ts_stagnation is not None:
         ts["stagnation_limit"] = args.ts_stagnation
     if args.ga_pop is not None:
@@ -162,7 +191,7 @@ def resolve_configs(args) -> dict[str, object]:
         ga["tournament_size"] = args.ga_tournament
     if args.ga_elitism is not None:
         ga["elitism_count"] = args.ga_elitism
-    return {"sa": SaConfig(**sa), "ts": TsConfig(**ts), "ga": GaConfig(**ga)}
+    return algorithm_configs(sections, {"sa": sa, "ts": ts, "ga": ga})
 
 
 def _run_search(problem, algo: str, configs, max_evals: int, seed: int):
@@ -320,12 +349,7 @@ def cmd_oracle(args, parser) -> int:
         return 0
     instance = load_tctp(args.instance, indirect_cost=args.indirect_cost or 0)
     if args.activities:
-        from .model import induced_subnetwork
-
-        keep = _parse_range(args.activities)
-        net = induced_subnetwork(instance.network, keep)
-        from .model import TctpInstance
-
+        net = induced_subnetwork(instance.network, args.activities)
         instance = TctpInstance(
             network=net,
             options={aid: instance.options[aid] for aid in net.ids},
@@ -342,17 +366,8 @@ def cmd_oracle(args, parser) -> int:
 def _restricted_network(args):
     net = load_network(args.instance)
     if args.activities:
-        from .model import induced_subnetwork
-
-        net = induced_subnetwork(net, _parse_range(args.activities))
+        net = induced_subnetwork(net, args.activities)
     return net
-
-
-def _parse_range(spec: str) -> set[int]:
-    if "-" in spec:
-        lo, hi = spec.split("-", 1)
-        return set(range(int(lo), int(hi) + 1))
-    return {int(x) for x in spec.split(",")}
 
 
 def cmd_instances(args, parser) -> int:

@@ -4,8 +4,9 @@ resource profiles, and feasibility audits under a single renewable capacity."""
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from math import inf
 
 from .model import InstanceError, ProjectNetwork
 
@@ -72,6 +73,17 @@ def serial_sgs(
     Activities are placed in list order at the earliest integer start that
     respects predecessor finishes and keeps usage within capacity for the
     activity's whole (non-preemptive) duration.
+
+    When capacity binds (it is below the total demand), usage is kept as a
+    piecewise-constant profile: sorted breakpoint `times` and the `loads`
+    that hold from each breakpoint to the next, ending in a load-0 piece up
+    to an infinite sentinel. An activity starts at its precedence-earliest
+    time t and walks the pieces overlapping [t, t + d); on the first piece
+    whose load leaves no room for its demand, every start before that
+    piece's end overlaps it, so t jumps to that end and the walk goes on.
+    Placing the activity splits the profile at t and t + d and adds its
+    demand to the pieces in between, so the work per activity grows with
+    the number of pieces, not with its duration.
     """
     activities = net.activities
     if durations is None:
@@ -89,8 +101,8 @@ def serial_sgs(
     # predecessor (or an unknown/duplicated id) surfaces as a KeyError.
     preds = net.predecessors
     binding = capacity < sum(demand.values())
-    if binding:
-        usage = [0] * (sum(durations.values()) + 1)
+    times: list[float] = [0, inf]
+    loads = [0, 0]
     finish: dict[int, int] = {}
     start_times: dict[int, int] = {}
     try:
@@ -103,16 +115,26 @@ def serial_sgs(
                 if f > t:
                     t = f
             if binding and d > 0 and dem > 0:
-                # Advance past each violating time unit; a window of d
-                # consecutive feasible units always exists because capacity
-                # covers every single demand.
-                u, end = t, t + d
-                while u < end:
-                    if usage[u] + dem > capacity:
-                        t, end = u + 1, u + 1 + d
-                    u += 1
-                for u in range(t, t + d):
-                    usage[u] += dem
+                # The load-0 piece before the sentinel always fits, because
+                # capacity covers every single demand.
+                room = capacity - dem
+                k = bisect_right(times, t) - 1  # the piece holding t
+                j, end = k, t + d
+                while times[j] < end:
+                    j += 1
+                    if loads[j - 1] > room:
+                        t, k, end = times[j], j, times[j] + d
+                # Pieces k..j-1 overlap [t, end); split at t and at end.
+                if times[k] < t:
+                    k += 1
+                    j += 1
+                    times.insert(k, t)
+                    loads.insert(k, loads[k - 1])
+                if times[j] > end:
+                    times.insert(j, end)
+                    loads.insert(j, loads[j - 1])
+                for i in range(k, j):
+                    loads[i] += dem
             start_times[aid] = t
             finish[aid] = t + d
     except KeyError as exc:

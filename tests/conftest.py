@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from metasched.instances import load_network, load_tctp
 from metasched.model import Activity, ProjectNetwork, TctpInstance, induced_subnetwork
@@ -43,4 +44,21 @@ def random_dag(rng: random.Random, max_activities: int = 12, max_duration: int =
             Activity(id=i, duration=rng.randint(1, max_duration), resource_demand=rng.randint(1, 3))
         )
         predecessors[i] = frozenset(p for p in range(1, i) if rng.random() < 0.3)
+    return ProjectNetwork(activities=tuple(activities), predecessors=predecessors)
+
+
+@st.composite
+def dags(draw, max_activities=40):
+    """Acyclic networks with unique, non-contiguous ids listed in shuffled
+    order, so neither the activity order nor id order is topological."""
+    n = draw(st.integers(1, max_activities))
+    ids = draw(st.lists(st.integers(1, 10_000), min_size=n, max_size=n, unique=True))
+    density = draw(st.sampled_from([0.0, 0.05, 0.15, 0.4, 0.8]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    # `ids` is the hidden topological order: arcs only go forward in it.
+    predecessors = {
+        aid: frozenset(p for p in ids[:k] if rng.random() < density) for k, aid in enumerate(ids)
+    }
+    activities = [Activity(aid, rng.randint(0, 20), rng.randint(0, 3)) for aid in ids]
+    rng.shuffle(activities)
     return ProjectNetwork(activities=tuple(activities), predecessors=predecessors)

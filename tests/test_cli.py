@@ -11,6 +11,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_error(capsys, *argv):
+    """Run a command line that must end in argparse's usage error; return
+    its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 class TestCpmCommand:
     def test_table_output(self, capsys):
         code, out, _ = run_cli(capsys, "cpm", "--instance", "table1")
@@ -86,6 +95,21 @@ class TestRcpspCommand:
         assert lines[0] == "eval,best_fitness"
         assert len(lines) > 1
 
+    def test_non_integer_ts_sample_is_usage_error(self, capsys):
+        err = usage_error(
+            capsys, "rcpsp", "--instance", "table1", "--capacity", "7", "--seed", "1",
+            "--ts-sample", "abc",
+        )
+        assert "argument --ts-sample" in err
+
+    def test_zero_max_evals_is_usage_error(self, capsys):
+        err = usage_error(
+            capsys, "rcpsp", "--instance", "table1", "--capacity", "7", "--seed", "1",
+            "--max-evals", "0",
+        )
+        assert "argument --max-evals" in err
+        assert "population_size" not in err
+
 
 class TestTctpCommand:
     def test_run_with_indirect_cost(self, capsys):
@@ -153,6 +177,16 @@ class TestConfigResolution:
         assert code == 1
         assert "tournament_size" in err
 
+    def test_unknown_config_key_is_domain_error(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"ga": {"bogus": 1}}))
+        code, _, err = run_cli(
+            capsys, "tctp", "--instance", "table2", "--indirect-cost", "230",
+            "--algo", "ga", "--seed", "4", "--config", str(config),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "bogus" in err
+
 
 class TestOracleCommand:
     def test_cpm_oracle(self, capsys):
@@ -182,6 +216,13 @@ class TestOracleCommand:
         assert code == 1
         assert "exceeds" in err
 
+    def test_empty_activity_range_is_usage_error(self, capsys):
+        err = usage_error(
+            capsys, "oracle", "rcpsp", "--instance", "table1", "--capacity", "3",
+            "--activities", "5-1",
+        )
+        assert "argument --activities" in err
+
 
 class TestBenchCommand:
     def test_bench_writes_reports(self, capsys, tmp_path):
@@ -200,6 +241,39 @@ class TestBenchCommand:
         assert code == 0
         for name in ("report.json", "summary.csv", "front.csv"):
             assert (out_dir / name).exists()
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"seeds": [1]}, "needs a 'problem' object"),
+            ({"problem": {"kind": "tctp"}, "seeds": [1]}, "lacks ['instance']"),
+            ({"problem": {"instance": "table2"}, "seeds": [1]}, "lacks ['kind']"),
+            (
+                {
+                    "problem": {"kind": "rcpsp", "instance": "table1", "capacity": 7},
+                    "seeds": [1],
+                    "configs": {"sa": {"bogus": 1}},
+                },
+                "unknown sa config keys ['bogus']",
+            ),
+            ([1, 2], "top level must be an object"),
+            (
+                {"problem": {"kind": "tctp", "instance": "table2"}, "seeds": 5},
+                "malformed experiment spec",
+            ),
+        ],
+        ids=[
+            "no-problem", "no-instance", "no-kind", "unknown-config-key", "not-an-object",
+            "seeds-not-a-list",
+        ],
+    )
+    def test_malformed_spec_is_domain_error(self, capsys, tmp_path, spec, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, _, err = run_cli(capsys, "bench", "--spec", str(path), "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestInstancesCommand:

@@ -30,6 +30,8 @@ from metasched.rcpsp import random_activity_list
 from metasched.search import repair_precedence
 from metasched.tctp import evaluate_mode_vector
 
+from conftest import dags
+
 
 def reference_levels(net):
     """Level-order topological sort with ties broken by id; returns the
@@ -79,23 +81,6 @@ def reference_repair_precedence(net, order):
             if indegree[follower] == 0:
                 heapq.heappush(ready, position[follower])
     return tuple(repaired)
-
-
-@st.composite
-def dags(draw, max_activities=40):
-    """Acyclic networks with unique, non-contiguous ids listed in shuffled
-    order, so neither the activity order nor id order is topological."""
-    n = draw(st.integers(1, max_activities))
-    ids = draw(st.lists(st.integers(1, 10_000), min_size=n, max_size=n, unique=True))
-    density = draw(st.sampled_from([0.0, 0.05, 0.15, 0.4, 0.8]))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    # `ids` is the hidden topological order: arcs only go forward in it.
-    predecessors = {
-        aid: frozenset(p for p in ids[:k] if rng.random() < density) for k, aid in enumerate(ids)
-    }
-    activities = [Activity(aid, rng.randint(0, 20), rng.randint(0, 3)) for aid in ids]
-    rng.shuffle(activities)
-    return ProjectNetwork(activities=tuple(activities), predecessors=predecessors)
 
 
 PROPERTY = settings(max_examples=150, deadline=None)
