@@ -4,7 +4,7 @@ non-dominated front, and deterministic CSV/JSON exports."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .instances import load_network, load_tctp
@@ -12,9 +12,10 @@ from .model import InstanceError
 from .problems import rcpsp_problem, tctp_problem
 from .search import GaConfig, RunResult, SaConfig, SearchProblem, TsConfig, run_ga, run_sa, run_ts
 
-ALGORITHMS = ("sa", "ts", "ga")
-_RUNNERS = {"sa": run_sa, "ts": run_ts, "ga": run_ga}
-_CONFIG_TYPES = {"sa": SaConfig, "ts": TsConfig, "ga": GaConfig}
+# The search algorithms by name: (config type, runner).
+ALGORITHMS = {"sa": (SaConfig, run_sa), "ts": (TsConfig, run_ts), "ga": (GaConfig, run_ga)}
+# JSON value types admitted by each name in a field annotation.
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "None": type(None)}
 
 
 @dataclass(frozen=True)
@@ -23,7 +24,7 @@ class ExperimentSpec:
     instance: str  # bundled name or file path
     seeds: tuple[int, ...]
     max_evaluations: int = 20_000
-    algorithms: tuple[str, ...] = ALGORITHMS
+    algorithms: tuple[str, ...] = tuple(ALGORITHMS)
     capacity: int | None = None
     indirect_cost: int | None = None
     sa: SaConfig = field(default_factory=SaConfig)
@@ -35,9 +36,11 @@ class ExperimentSpec:
             raise InstanceError(f"unknown problem kind {self.problem_kind!r}")
         if not self.seeds:
             raise InstanceError("at least one seed required")
-        unknown = [a for a in self.algorithms if a not in ALGORITHMS]
+        unknown = [a for a in self.algorithms if not isinstance(a, str) or a not in ALGORITHMS]
         if unknown:
             raise InstanceError(f"unknown algorithms {unknown}")
+        problem = {key: getattr(self, key) for key in ("instance", "capacity", "indirect_cost")}
+        _check_types("experiment spec", self, problem)
         if self.problem_kind == "rcpsp" and self.capacity is None:
             raise InstanceError("rcpsp experiments require a capacity")
         if self.problem_kind == "tctp" and self.indirect_cost is None:
@@ -84,21 +87,36 @@ def algorithm_configs(sections, overrides: dict[str, dict] | None = None) -> dic
     """SA, TS and GA configs from a JSON object of per-algorithm sections,
     each section's keys updated by `overrides[name]`.
 
-    Raises `InstanceError` when `sections` or a section is not an object or
-    a section names a key its config does not have.
+    Raises `InstanceError` when `sections` or a section is not an object, or
+    a section names a key its config does not have or gives a value of a
+    type its field does not admit.
     """
     if not isinstance(sections, dict):
         raise InstanceError("algorithm configs must be an object with 'sa'/'ts'/'ga' sections")
     configs = {}
-    for name, config_type in _CONFIG_TYPES.items():
+    for name, (config_type, _) in ALGORITHMS.items():
         section = sections.get(name, {})
         if not isinstance(section, dict):
             raise InstanceError(f"{name} config must be an object")
         unknown = sorted(set(section) - {f.name for f in fields(config_type)})
         if unknown:
             raise InstanceError(f"unknown {name} config keys {unknown}")
-        configs[name] = config_type(**{**section, **(overrides or {}).get(name, {})})
+        values = {**section, **(overrides or {}).get(name, {})}
+        _check_types(f"{name} config", config_type, values)
+        configs[name] = config_type(**values)
     return configs
+
+
+def _check_types(label: str, record_type, values: dict) -> None:
+    """Raise `InstanceError` for the first of `values` (JSON values keyed by
+    field name) that its field's annotation in `record_type`, such as
+    `float | None`, does not admit."""
+    annotations = {f.name: f.type for f in fields(record_type)}
+    for key, value in values.items():
+        types = [_FIELD_TYPES[name] for name in annotations[key].split(" | ")]
+        # bool is a subclass of int: admit it only where the annotation names bool.
+        if not any(isinstance(value, t) for t in types) or isinstance(value, bool) and bool not in types:
+            raise InstanceError(f"{label} {key!r} must be {annotations[key]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -138,8 +156,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     runs: list[RunResult] = []
     for algorithm in spec.algorithms:
         config = replace(getattr(spec, algorithm), max_evaluations=spec.max_evaluations)
+        _, run = ALGORITHMS[algorithm]
         for seed in spec.seeds:
-            runs.append(_RUNNERS[algorithm](problem, config, seed))
+            runs.append(run(problem, config, seed))
 
     contributors, candidates = pooled_front(runs)
     pct = success_percentage(contributors)
@@ -209,30 +228,39 @@ def success_percentage(contributors: dict[tuple[int, int], set[str]]) -> dict[st
     return {algo: 100.0 * count / total for algo, count in credits.items()}
 
 
+def write_csv(destination: str | Path, header: str, rows) -> None:
+    Path(destination).write_text(csv_text(header, rows), encoding="utf-8")
+
+
+def csv_text(header: str, rows) -> str:
+    """`header`, then each row's fields comma-joined, one line each."""
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+
+
 def export_front_csv(report: ExperimentReport, destination: str | Path) -> None:
     """Plot-ready pooled front, one row per (algorithm, point)."""
-    lines = ["algorithm,duration,cost,modes_or_list"]
-    rows = []
-    for duration, cost, algorithms, candidate in report.pooled_front:
-        encoded = "-".join(str(x) for x in candidate)
-        for algorithm in algorithms:
-            rows.append((duration, cost, algorithm, encoded))
-    rows.sort()
-    for duration, cost, algorithm, encoded in rows:
-        lines.append(f"{algorithm},{duration},{cost},{encoded}")
-    Path(destination).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = sorted(
+        (duration, cost, algorithm, "-".join(map(str, candidate)))
+        for duration, cost, algorithms, candidate in report.pooled_front
+        for algorithm in algorithms
+    )
+    write_csv(
+        destination,
+        "algorithm,duration,cost,modes_or_list",
+        ((algorithm, duration, cost, encoded) for duration, cost, algorithm, encoded in rows),
+    )
 
 
 def export_summary_csv(report: ExperimentReport, destination: str | Path) -> None:
-    lines = [
-        "algorithm,min_duration,min_cost,min_iterations,avg_duration,avg_cost,avg_iterations,success_pct"
-    ]
-    for s in report.summaries:
-        lines.append(
-            f"{s.algorithm},{s.min_duration},{s.min_cost},{s.best_run_iterations},"
-            f"{s.avg_duration:.2f},{s.avg_cost:.2f},{s.avg_iterations:.2f},{s.success_pct:.2f}"
-        )
-    Path(destination).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(
+        destination,
+        "algorithm,min_duration,min_cost,min_iterations,avg_duration,avg_cost,avg_iterations,success_pct",
+        (
+            (s.algorithm, s.min_duration, s.min_cost, s.best_run_iterations)
+            + tuple(f"{x:.2f}" for x in (s.avg_duration, s.avg_cost, s.avg_iterations, s.success_pct))
+            for s in report.summaries
+        ),
+    )
 
 
 def report_to_json(report: ExperimentReport) -> str:
@@ -241,55 +269,26 @@ def report_to_json(report: ExperimentReport) -> str:
     Averages cover all runs, successful or not.
     """
     payload = {
-        "spec": {
-            "problem_kind": report.spec.problem_kind,
-            "instance": report.spec.instance,
-            "capacity": report.spec.capacity,
-            "indirect_cost": report.spec.indirect_cost,
-            "algorithms": list(report.spec.algorithms),
-            "seeds": list(report.spec.seeds),
-            "max_evaluations": report.spec.max_evaluations,
-        },
+        "spec": _fields(report.spec, "problem_kind instance capacity indirect_cost algorithms seeds max_evaluations"),
+        # Every float of a summary rounded to 6 places.
         "summaries": [
-            {
-                "algorithm": s.algorithm,
-                "min_duration": s.min_duration,
-                "min_cost": s.min_cost,
-                "best_run_evaluations": s.best_run_evaluations,
-                "best_run_iterations": s.best_run_iterations,
-                "avg_duration": round(s.avg_duration, 6),
-                "avg_cost": round(s.avg_cost, 6),
-                "avg_iterations": round(s.avg_iterations, 6),
-                "success_pct": round(s.success_pct, 6),
-                "runs_within_one_pct": round(s.runs_within_one_pct, 6),
-            }
+            {key: value if isinstance(value, str) else round(value, 6) for key, value in asdict(s).items()}
             for s in report.summaries
         ],
         "pooled_front": [
-            {
-                "duration": duration,
-                "cost": cost,
-                "algorithms": list(algorithms),
-                "candidate": list(candidate),
-            }
-            for duration, cost, algorithms, candidate in report.pooled_front
+            dict(zip(("duration", "cost", "algorithms", "candidate"), point)) for point in report.pooled_front
         ],
         "runs": [
-            {
-                "algorithm": r.algorithm,
-                "seed": r.seed,
-                "best": list(r.best),
-                "best_fitness": r.best_fitness,
-                "best_duration": r.best_duration,
-                "best_cost": r.best_cost,
-                "evaluations_used": r.evaluations_used,
-                "native_iterations": r.native_iterations,
-            }
+            _fields(r, "algorithm seed best best_fitness best_duration best_cost evaluations_used native_iterations")
             for r in report.runs
         ],
         "notes": "averages cover all runs; success_pct is pooled-front contribution share",
     }
     return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _fields(record, names: str) -> dict:
+    return {name: getattr(record, name) for name in names.split()}
 
 
 def write_report(report: ExperimentReport, out_dir: str | Path) -> None:

@@ -12,11 +12,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .bench import ExperimentSpec, algorithm_configs, run_experiment, write_report
+from .bench import ALGORITHMS, ExperimentSpec, algorithm_configs, csv_text, run_experiment, write_csv, write_report
 from .cpm import compute_cpm
 from .instances import (
     export_bundled,
@@ -29,9 +28,8 @@ from .model import AOA_FORMAT, TCTP_FORMAT, InstanceError, TctpInstance, induced
 from .oracle import OracleGuard, exhaustive_rcpsp, exhaustive_tctp, longest_path_makespan
 from .problems import modes_to_vector, rcpsp_problem, tctp_problem
 from .rcpsp import SchedulingError, constrained_critical, resource_profile, serial_sgs
-from .search import run_ga, run_sa, run_ts
 
-_RUNNERS = {"sa": run_sa, "ts": run_ts, "ga": run_ga}
+FORMATS = ("table", "csv", "json")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -63,17 +61,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cpm = sub.add_parser("cpm", help="critical path analysis of an instance")
     p_cpm.add_argument("--instance", required=True)
-    p_cpm.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    p_cpm.add_argument("--format", choices=FORMATS, default="table")
     p_cpm.set_defaults(handler=cmd_cpm)
 
     p_rcpsp = sub.add_parser("rcpsp", help="resource-constrained scheduling search")
     p_rcpsp.add_argument("--instance", required=True)
     p_rcpsp.add_argument("--capacity", type=int, required=True)
-    p_rcpsp.add_argument("--algo", choices=("sa", "ts", "ga"), default="ga")
+    p_rcpsp.add_argument("--algo", choices=ALGORITHMS, default="ga")
     p_rcpsp.add_argument("--seed", type=int)
     p_rcpsp.add_argument("--max-evals", type=_positive_int, default=20_000)
     p_rcpsp.add_argument("--list", dest="fixed_list", help="comma-separated activity ids; decode without searching")
-    p_rcpsp.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    p_rcpsp.add_argument("--format", choices=FORMATS, default="table")
     p_rcpsp.add_argument("--trace", help="write per-evaluation best-so-far CSV here")
     _add_config_flags(p_rcpsp)
     p_rcpsp.set_defaults(handler=cmd_rcpsp)
@@ -81,11 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_tctp = sub.add_parser("tctp", help="time-cost trade-off search")
     p_tctp.add_argument("--instance", required=True)
     p_tctp.add_argument("--indirect-cost", type=int)
-    p_tctp.add_argument("--algo", choices=("sa", "ts", "ga"), default="ga")
+    p_tctp.add_argument("--algo", choices=ALGORITHMS, default="ga")
     p_tctp.add_argument("--seed", type=int)
     p_tctp.add_argument("--max-evals", type=_positive_int, default=20_000)
     p_tctp.add_argument("--emit-front", help="write this run's non-dominated set as CSV")
-    p_tctp.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    p_tctp.add_argument("--format", choices=FORMATS, default="table")
     p_tctp.add_argument("--trace", help="write per-evaluation best-so-far CSV here")
     _add_config_flags(p_tctp)
     p_tctp.set_defaults(handler=cmd_tctp)
@@ -109,25 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_inst.add_argument("action", nargs="?", choices=("list", "export"), default="list")
     p_inst.add_argument("name", nargs="?")
     p_inst.add_argument("path", nargs="?")
-    p_inst.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    p_inst.add_argument("--format", choices=FORMATS, default="table")
     p_inst.set_defaults(handler=cmd_instances)
 
     return parser
-
-
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="algorithm config file (JSON); defaults to $METASCHED_CONFIG")
-    parser.add_argument("--sa-initial-temp", type=float)
-    parser.add_argument("--sa-cooling", type=float)
-    parser.add_argument("--sa-steps", type=int)
-    parser.add_argument("--ts-tenure", type=int)
-    parser.add_argument("--ts-sample", type=_sample_size, help="neighborhood sample size or 'full'")
-    parser.add_argument("--ts-stagnation", type=int)
-    parser.add_argument("--ga-pop", type=int)
-    parser.add_argument("--ga-crossover", type=float)
-    parser.add_argument("--ga-mutation", type=float)
-    parser.add_argument("--ga-tournament", type=int)
-    parser.add_argument("--ga-elitism", type=int)
 
 
 def _positive_int(text: str) -> int:
@@ -161,84 +144,84 @@ def _id_set(text: str) -> set[int]:
     return ids
 
 
+# Algorithm config flags: (flag, algorithm, config field, argparse type, help).
+CONFIG_FLAGS = (
+    ("--sa-initial-temp", "sa", "initial_temperature", float, None),
+    ("--sa-cooling", "sa", "cooling_factor", float, None),
+    ("--sa-steps", "sa", "steps_per_temperature", int, None),
+    ("--ts-tenure", "ts", "tabu_tenure", int, None),
+    ("--ts-sample", "ts", "neighborhood_sample", _sample_size, "neighborhood sample size or 'full'"),
+    ("--ts-stagnation", "ts", "stagnation_limit", int, None),
+    ("--ga-pop", "ga", "population_size", int, None),
+    ("--ga-crossover", "ga", "crossover_rate", float, None),
+    ("--ga-mutation", "ga", "mutation_rate", float, None),
+    ("--ga-tournament", "ga", "tournament_size", int, None),
+    ("--ga-elitism", "ga", "elitism_count", int, None),
+)
+
+
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", help="algorithm config file (JSON); defaults to $METASCHED_CONFIG")
+    for flag, _, _, kind, text in CONFIG_FLAGS:
+        parser.add_argument(flag, type=kind, help=text)
+
+
 def resolve_configs(args) -> dict[str, object]:
-    """Config file sections (from --config or $METASCHED_CONFIG) with CLI
-    flag overrides applied on top."""
-    sections: dict[str, dict] = {}
+    """Config file sections (from --config or $METASCHED_CONFIG) with
+    --max-evals and the config flags applied on top."""
     path = args.config or os.environ.get("METASCHED_CONFIG")
-    if path:
-        sections = json.loads(Path(path).read_text(encoding="utf-8"))
-    sa, ts, ga = {}, {}, {}
-    if args.sa_initial_temp is not None:
-        sa["initial_temperature"] = args.sa_initial_temp
-    if args.sa_cooling is not None:
-        sa["cooling_factor"] = args.sa_cooling
-    if args.sa_steps is not None:
-        sa["steps_per_temperature"] = args.sa_steps
-    if args.ts_tenure is not None:
-        ts["tabu_tenure"] = args.ts_tenure
-    if args.ts_sample is not None:
-        ts["neighborhood_sample"] = args.ts_sample
-    if args.ts_stagnation is not None:
-        ts["stagnation_limit"] = args.ts_stagnation
-    if args.ga_pop is not None:
-        ga["population_size"] = args.ga_pop
-    if args.ga_crossover is not None:
-        ga["crossover_rate"] = args.ga_crossover
-    if args.ga_mutation is not None:
-        ga["mutation_rate"] = args.ga_mutation
-    if args.ga_tournament is not None:
-        ga["tournament_size"] = args.ga_tournament
-    if args.ga_elitism is not None:
-        ga["elitism_count"] = args.ga_elitism
-    return algorithm_configs(sections, {"sa": sa, "ts": ts, "ga": ga})
+    sections = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
+    overrides = {name: {"max_evaluations": args.max_evals} for name in ALGORITHMS}
+    for flag, algorithm, key, _, _ in CONFIG_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            overrides[algorithm][key] = value
+    return algorithm_configs(sections, overrides)
 
 
-def _run_search(problem, algo: str, configs, max_evals: int, seed: int):
-    config = replace(configs[algo], max_evaluations=max_evals)
-    return _RUNNERS[algo](problem, config, seed)
+def _search(args, problem):
+    """Run `--algo` on `problem` under the resolved configs; write `--trace`."""
+    _, run = ALGORITHMS[args.algo]
+    result = run(problem, resolve_configs(args)[args.algo], args.seed)
+    if args.trace:
+        write_csv(args.trace, "eval,best_fitness", result.trajectory)
+    return result
 
 
-def _write_trace(result, destination: str) -> None:
-    lines = ["eval,best_fitness"] + [f"{i},{f}" for i, f in result.trajectory]
-    Path(destination).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _emit(fmt: str, payload, csv_header: str, csv_rows, table_lines) -> None:
+    """Print a result in `--format` `fmt`: `payload` as JSON, `csv_rows`
+    under `csv_header`, or `table_lines`."""
+    if fmt == "json":
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    elif fmt == "csv":
+        print(csv_text(csv_header, csv_rows), end="")
+    else:
+        for line in table_lines:
+            print(line)
 
 
 def cmd_cpm(args, parser) -> int:
-    net = load_network(args.instance)
-    result = compute_cpm(net)
+    result = compute_cpm(load_network(args.instance))
+    columns = ("activity", "es", "ef", "ls", "lf", "tf")
     rows = [
         (aid, r.early_start, r.early_finish, r.late_start, r.late_finish, r.total_float)
         for aid, r in sorted(result.rows.items())
     ]
     critical = sorted(result.critical)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "rows": [
-                        {"activity": a, "es": es, "ef": ef, "ls": ls, "lf": lf, "tf": tf}
-                        for a, es, ef, ls, lf, tf in rows
-                    ],
-                    "makespan": result.makespan,
-                    "critical": critical,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    elif args.format == "csv":
-        print("activity,es,ef,ls,lf,tf")
-        for row in rows:
-            print(",".join(str(x) for x in row))
-        print(f"# makespan,{result.makespan}")
-        print(f"# critical,{' '.join(str(c) for c in critical)}")
-    else:
-        print(f"{'Activity':>8} {'ES':>5} {'EF':>5} {'LS':>5} {'LF':>5} {'TF':>5}")
-        for a, es, ef, ls, lf, tf in rows:
-            print(f"{a:>8} {es:>5} {ef:>5} {ls:>5} {lf:>5} {tf:>5}")
-        print(f"makespan: {result.makespan}")
-        print(f"critical: {', '.join(str(c) for c in critical)}")
+    _emit(
+        args.format,
+        {"rows": [dict(zip(columns, row)) for row in rows], "makespan": result.makespan, "critical": critical},
+        ",".join(columns),
+        [*rows, ("# makespan", result.makespan), ("# critical", " ".join(map(str, critical)))],
+        [
+            *(
+                " ".join(f"{x:>{width}}" for x, width in zip(row, (8, 5, 5, 5, 5, 5)))
+                for row in [("Activity", "ES", "EF", "LS", "LF", "TF"), *rows]
+            ),
+            f"makespan: {result.makespan}",
+            f"critical: {', '.join(map(str, critical))}",
+        ],
+    )
     return 0
 
 
@@ -249,82 +232,70 @@ def cmd_rcpsp(args, parser) -> int:
     else:
         if args.seed is None:
             parser.error("--seed is required for stochastic runs (omit only with --list)")
-        configs = resolve_configs(args)
-        problem = rcpsp_problem(net, args.capacity)
-        result = _run_search(problem, args.algo, configs, args.max_evals, args.seed)
-        if args.trace:
-            _write_trace(result, args.trace)
-        order = result.best
+        order = _search(args, rcpsp_problem(net, args.capacity)).best
     schedule = serial_sgs(net, args.capacity, order)
-    profile = resource_profile(net, schedule)
+    peak = resource_profile(net, schedule).peak
     critical = sorted(constrained_critical(net, args.capacity, order))
     starts = {str(aid): schedule.start_times[aid] for aid in sorted(schedule.start_times)}
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "makespan": schedule.makespan,
-                    "start_times": starts,
-                    "critical": critical,
-                    "peak_usage": profile.peak,
-                    "list": list(order),
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    elif args.format == "csv":
-        print("activity,start")
-        for aid, start in starts.items():
-            print(f"{aid},{start}")
-        print(f"# makespan,{schedule.makespan}")
-        print(f"# critical,{' '.join(str(c) for c in critical)}")
-        print(f"# peak_usage,{profile.peak}")
-    else:
-        print(f"makespan: {schedule.makespan}")
-        print(f"start times: {starts}")
-        print(f"critical: {', '.join(str(c) for c in critical)}")
-        print(f"peak usage: {profile.peak}")
+    _emit(
+        args.format,
+        {
+            "makespan": schedule.makespan,
+            "start_times": starts,
+            "critical": critical,
+            "peak_usage": peak,
+            "list": list(order),
+        },
+        "activity,start",
+        [
+            *starts.items(),
+            ("# makespan", schedule.makespan),
+            ("# critical", " ".join(map(str, critical))),
+            ("# peak_usage", peak),
+        ],
+        [
+            f"makespan: {schedule.makespan}",
+            f"start times: {starts}",
+            f"critical: {', '.join(map(str, critical))}",
+            f"peak usage: {peak}",
+        ],
+    )
     return 0
 
 
 def cmd_tctp(args, parser) -> int:
-    text = instance_text(args.instance)
-    if args.indirect_cost is None and "indirect_cost_per_day" not in json.loads(text):
+    document = json.loads(instance_text(args.instance))
+    if args.indirect_cost is None and isinstance(document, dict) and "indirect_cost_per_day" not in document:
         parser.error("--indirect-cost is required (instance file carries none)")
     if args.seed is None:
         parser.error("--seed is required for stochastic runs")
     instance = load_tctp(args.instance, indirect_cost=args.indirect_cost)
-    configs = resolve_configs(args)
-    problem = tctp_problem(instance)
-    result = _run_search(problem, args.algo, configs, args.max_evals, args.seed)
-    if args.trace:
-        _write_trace(result, args.trace)
-    modes = modes_to_vector(instance, result.best)
+    result = _search(args, tctp_problem(instance))
     if args.emit_front:
-        lines = ["duration,cost,modes"]
-        for p in result.archive.points:
-            lines.append(f"{p.duration},{p.cost},{'-'.join(str(x) for x in p.modes)}")
-        Path(args.emit_front).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_csv(
+            args.emit_front,
+            "duration,cost,modes",
+            ((p.duration, p.cost, "-".join(map(str, p.modes))) for p in result.archive.points),
+        )
+    modes = modes_to_vector(instance, result.best)
     payload = {
         "modes": {str(aid): idx for aid, idx in sorted(modes.choices.items())},
         "duration": result.best_duration,
         "direct_cost": result.best_cost,
         "total_cost": int(result.best_fitness),
     }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        print("duration,direct_cost,total_cost,modes")
-        print(
-            f"{payload['duration']},{payload['direct_cost']},{payload['total_cost']},"
-            f"{'-'.join(str(x) for x in result.best)}"
-        )
-    else:
-        print(f"best modes: {payload['modes']}")
-        print(f"duration: {payload['duration']} days")
-        print(f"direct cost: {payload['direct_cost']}")
-        print(f"total cost: {payload['total_cost']}")
+    _emit(
+        args.format,
+        payload,
+        "duration,direct_cost,total_cost,modes",
+        [(result.best_duration, result.best_cost, payload["total_cost"], "-".join(map(str, result.best)))],
+        [
+            f"best modes: {payload['modes']}",
+            f"duration: {payload['duration']} days",
+            f"direct cost: {payload['direct_cost']}",
+            f"total cost: {payload['total_cost']}",
+        ],
+    )
     return 0
 
 
@@ -337,37 +308,31 @@ def cmd_bench(args, parser) -> int:
 
 
 def cmd_oracle(args, parser) -> int:
-    if args.kind == "cpm":
-        net = _restricted_network(args)
-        print(f"makespan: {longest_path_makespan(net)}")
+    if args.kind == "rcpsp" and args.capacity is None:
+        parser.error("oracle rcpsp requires --capacity")
+    if args.kind == "tctp":
+        instance = load_tctp(args.instance, indirect_cost=args.indirect_cost or 0)
+        if args.activities:
+            net = induced_subnetwork(instance.network, args.activities)
+            instance = TctpInstance(
+                network=net,
+                options={aid: instance.options[aid] for aid in net.ids},
+                indirect_cost_per_day=instance.indirect_cost_per_day,
+            )
+        result = exhaustive_tctp(instance, OracleGuard())
+        print("front (duration, direct_cost):")
+        for duration, cost in result.front:
+            print(f"  {duration},{cost}")
+        print(f"minimum total cost at I={instance.indirect_cost_per_day}: {result.min_total_cost}")
         return 0
-    if args.kind == "rcpsp":
-        if args.capacity is None:
-            parser.error("oracle rcpsp requires --capacity")
-        net = _restricted_network(args)
-        print(f"optimal makespan: {exhaustive_rcpsp(net, args.capacity)}")
-        return 0
-    instance = load_tctp(args.instance, indirect_cost=args.indirect_cost or 0)
-    if args.activities:
-        net = induced_subnetwork(instance.network, args.activities)
-        instance = TctpInstance(
-            network=net,
-            options={aid: instance.options[aid] for aid in net.ids},
-            indirect_cost_per_day=instance.indirect_cost_per_day,
-        )
-    result = exhaustive_tctp(instance, OracleGuard())
-    print("front (duration, direct_cost):")
-    for duration, cost in result.front:
-        print(f"  {duration},{cost}")
-    print(f"minimum total cost at I={instance.indirect_cost_per_day}: {result.min_total_cost}")
-    return 0
-
-
-def _restricted_network(args):
     net = load_network(args.instance)
     if args.activities:
         net = induced_subnetwork(net, args.activities)
-    return net
+    if args.kind == "cpm":
+        print(f"makespan: {longest_path_makespan(net)}")
+    else:
+        print(f"optimal makespan: {exhaustive_rcpsp(net, args.capacity)}")
+    return 0
 
 
 def cmd_instances(args, parser) -> int:
@@ -378,15 +343,13 @@ def cmd_instances(args, parser) -> int:
         print(f"wrote {args.name} to {args.path}")
         return 0
     catalogue = list_bundled_instances()
-    if args.format == "json":
-        print(json.dumps(catalogue, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        print("name,format,activities,description")
-        for item in catalogue:
-            print(f"{item['name']},{item['format']},{item['activities']},{item['description']}")
-    else:
-        for item in catalogue:
-            print(f"{item['name']}: {item['activities']} activities ({item['format']}) - {item['description']}")
+    _emit(
+        args.format,
+        catalogue,
+        "name,format,activities,description",
+        [(i["name"], i["format"], i["activities"], i["description"]) for i in catalogue],
+        [f"{i['name']}: {i['activities']} activities ({i['format']}) - {i['description']}" for i in catalogue],
+    )
     return 0
 
 

@@ -340,23 +340,16 @@ def parse_aoa_instance(document: str) -> tuple[AoaArc, ...]:
     records = data.get("arcs")
     if not isinstance(records, list) or not records:
         raise InstanceError("empty instance")
-    arcs = []
-    for i, rec in enumerate(records):
-        try:
-            arcs.append(
-                AoaArc(
-                    activity_id=_int_field(rec, "id"),
-                    start_node=_int_field(rec, "start"),
-                    end_node=_int_field(rec, "end"),
-                    duration=_int_field(rec, "duration"),
-                    demand=_int_field(rec, "demand", default=1),
-                )
-            )
-        except InstanceError:
-            raise
-        except (TypeError, KeyError) as exc:
-            raise InstanceError(f"arc record {i}: {exc}") from exc
-    return tuple(arcs)
+    return tuple(
+        AoaArc(
+            activity_id=_int_field(rec, "id"),
+            start_node=_int_field(rec, "start"),
+            end_node=_int_field(rec, "end"),
+            duration=_int_field(rec, "duration"),
+            demand=_int_field(rec, "demand", default=1),
+        )
+        for rec in records
+    )
 
 
 def parse_tctp_instance(document: str, indirect_cost_override: int | None = None) -> TctpInstance:
@@ -450,6 +443,8 @@ def _as_int(value, label: str) -> int:
 
 
 def _int_field(record: dict, key: str, default: int | None = None) -> int:
+    if not isinstance(record, dict):
+        raise InstanceError(f"expected an object with field {key!r}, got {record!r}")
     if key not in record:
         if default is not None:
             return default

@@ -109,6 +109,9 @@ def oracle_serial_sgs(
     start per activity, scanning candidate starts one time unit at a time."""
     durations = {a.id: a.duration for a in net.activities}
     demand = {a.id: a.resource_demand for a in net.activities}
+    largest = max(demand.values(), default=0)
+    if capacity < largest:
+        raise ValueError(f"capacity {capacity} is below the largest activity demand {largest}")
     used = [0] * (sum(durations.values()) + 1)
     finish: dict[int, int] = {}
     starts: dict[int, int] = {}

@@ -132,6 +132,29 @@ class TestTctpCommand:
             main(["tctp", "--instance", "table2", "--indirect-cost", "230"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            (5, "top level must be an object"),
+            ({"format": "tctp-v1", "indirect_cost_per_day": 1, "activities": [5]}, "got 5"),
+            (
+                {
+                    "format": "tctp-v1",
+                    "indirect_cost_per_day": 1,
+                    "activities": [{"id": 1, "options": [7]}],
+                },
+                "got 7",
+            ),
+        ],
+        ids=["top-level-number", "activity-not-an-object", "option-not-an-object"],
+    )
+    def test_malformed_instance_is_domain_error(self, capsys, tmp_path, document, message):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(document))
+        code, _, err = run_cli(capsys, "tctp", "--instance", str(path), "--seed", "1")
+        assert code == 1
+        assert err.startswith("error:") and message in err
+
     def test_emit_front(self, capsys, tmp_path):
         front = tmp_path / "front.csv"
         code, _, _ = run_cli(
@@ -188,6 +211,32 @@ class TestConfigResolution:
         assert err.startswith("error:") and "bogus" in err
 
 
+    def test_wrong_typed_config_value_is_domain_error(self, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sa": {"cooling_factor": "x"}}))
+        tctp = ("tctp", "--instance", "table2", "--indirect-cost", "230", "--seed", "4")
+        code, _, err = run_cli(capsys, *tctp, "--config", str(config))
+        assert code == 1
+        assert err.startswith("error: sa config 'cooling_factor'")
+        monkeypatch.setenv("METASCHED_CONFIG", str(config))
+        code, _, err = run_cli(capsys, *tctp)
+        assert code == 1
+        assert err.startswith("error: sa config 'cooling_factor'")
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "problem": {"kind": "rcpsp", "instance": "table1", "capacity": 7},
+                    "seeds": [1],
+                    "configs": {"ga": {"population_size": "5"}},
+                }
+            )
+        )
+        code, _, err = run_cli(capsys, "bench", "--spec", str(spec), "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith("error: ga config 'population_size'")
+
+
 class TestOracleCommand:
     def test_cpm_oracle(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "cpm", "--instance", "table1")
@@ -215,6 +264,13 @@ class TestOracleCommand:
         code, _, err = run_cli(capsys, "oracle", "tctp", "--instance", "table2")
         assert code == 1
         assert "exceeds" in err
+
+    def test_capacity_below_demand_is_domain_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "oracle", "rcpsp", "--instance", "table1", "--activities", "1-3", "--capacity", "0",
+        )
+        assert code == 1
+        assert err.startswith("error:") and "capacity 0" in err
 
     def test_empty_activity_range_is_usage_error(self, capsys):
         err = usage_error(
@@ -261,10 +317,31 @@ class TestBenchCommand:
                 {"problem": {"kind": "tctp", "instance": "table2"}, "seeds": 5},
                 "malformed experiment spec",
             ),
+            (
+                {"problem": {"kind": "rcpsp", "instance": "table1", "capacity": "7"}, "seeds": [1]},
+                "'capacity' must be int",
+            ),
+            (
+                {"problem": {"kind": "tctp", "instance": "table2", "indirect_cost": [1]}, "seeds": [1]},
+                "'indirect_cost' must be int",
+            ),
+            (
+                {"problem": {"kind": "tctp", "instance": 5, "indirect_cost": 230}, "seeds": [1]},
+                "'instance' must be str",
+            ),
+            (
+                {
+                    "problem": {"kind": "rcpsp", "instance": "table1", "capacity": 7},
+                    "seeds": [1],
+                    "algorithms": [["sa"]],
+                },
+                "unknown algorithms",
+            ),
         ],
         ids=[
             "no-problem", "no-instance", "no-kind", "unknown-config-key", "not-an-object",
-            "seeds-not-a-list",
+            "seeds-not-a-list", "capacity-not-an-int", "indirect-cost-not-an-int",
+            "instance-not-a-string", "algorithm-not-a-name",
         ],
     )
     def test_malformed_spec_is_domain_error(self, capsys, tmp_path, spec, message):
