@@ -11,6 +11,7 @@ from .instances import load_network, load_tctp
 from .model import InstanceError
 from .problems import rcpsp_problem, tctp_problem
 from .search import GaConfig, RunResult, SaConfig, SearchProblem, TsConfig, run_ga, run_sa, run_ts
+from .tctp import ParetoArchive, archive_insert
 
 # The search algorithms by name: (config type, runner).
 ALGORITHMS = {"sa": (SaConfig, run_sa), "ts": (TsConfig, run_ts), "ga": (GaConfig, run_ga)}
@@ -36,9 +37,15 @@ class ExperimentSpec:
             raise InstanceError(f"unknown problem kind {self.problem_kind!r}")
         if not self.seeds:
             raise InstanceError("at least one seed required")
+        if not self.algorithms:
+            raise InstanceError("at least one algorithm required")
         unknown = [a for a in self.algorithms if not isinstance(a, str) or a not in ALGORITHMS]
         if unknown:
             raise InstanceError(f"unknown algorithms {unknown}")
+        for label, values in (("algorithms", self.algorithms), ("seeds", self.seeds)):
+            repeated = sorted({value for value in values if values.count(value) > 1})
+            if repeated:
+                raise InstanceError(f"repeated {label} {repeated}")
         problem = {key: getattr(self, key) for key in ("instance", "capacity", "indirect_cost")}
         _check_types("experiment spec", self, problem)
         if self.problem_kind == "rcpsp" and self.capacity is None:
@@ -196,23 +203,21 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 def pooled_front(
     runs: list[RunResult],
 ) -> tuple[dict[tuple[int, int], set[str]], dict[tuple[int, int], tuple]]:
-    """Merge run archives into one non-dominated front.
+    """Merge run archives, in run order, into one non-dominated front.
 
-    Returns (point -> contributing algorithms, point -> one witness candidate).
+    Returns (point -> every algorithm whose run archive holds the point,
+    point -> the candidate of the first run that holds it).
     """
-    attained: dict[tuple[int, int], set[str]] = {}
-    witness: dict[tuple[int, int], tuple] = {}
+    front = ParetoArchive()
     for run in runs:
         for p in run.archive.points:
-            key = (p.duration, p.cost)
-            attained.setdefault(key, set()).add(run.algorithm)
-            witness.setdefault(key, p.modes)
-    front = {
-        p
-        for p in attained
-        if not any(q[0] <= p[0] and q[1] <= p[1] and q != p for q in attained)
-    }
-    return {p: attained[p] for p in front}, {p: witness[p] for p in front}
+            front = archive_insert(front, p)
+    contributors = {p.objectives: set() for p in front.points}
+    for run in runs:
+        for p in run.archive.points:
+            if p.objectives in contributors:
+                contributors[p.objectives].add(run.algorithm)
+    return contributors, {p.objectives: p.modes for p in front.points}
 
 
 def success_percentage(contributors: dict[tuple[int, int], set[str]]) -> dict[str, float]:

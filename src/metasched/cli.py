@@ -24,7 +24,7 @@ from .instances import (
     load_network,
     load_tctp,
 )
-from .model import AOA_FORMAT, TCTP_FORMAT, InstanceError, TctpInstance, induced_subnetwork
+from .model import AOA_FORMAT, TCTP_FORMAT, InstanceError, TctpInstance, _load_json, induced_subnetwork
 from .oracle import OracleGuard, exhaustive_rcpsp, exhaustive_tctp, longest_path_makespan
 from .problems import modes_to_vector, rcpsp_problem, tctp_problem
 from .rcpsp import SchedulingError, constrained_critical, resource_profile, serial_sgs
@@ -263,9 +263,14 @@ def cmd_rcpsp(args, parser) -> int:
     return 0
 
 
+def _lacks_indirect_cost(args) -> bool:
+    """Whether neither `--indirect-cost` nor the instance file gives an indirect cost."""
+    document = _load_json(instance_text(args.instance))
+    return args.indirect_cost is None and "indirect_cost_per_day" not in document
+
+
 def cmd_tctp(args, parser) -> int:
-    document = json.loads(instance_text(args.instance))
-    if args.indirect_cost is None and isinstance(document, dict) and "indirect_cost_per_day" not in document:
+    if _lacks_indirect_cost(args):
         parser.error("--indirect-cost is required (instance file carries none)")
     if args.seed is None:
         parser.error("--seed is required for stochastic runs")
@@ -311,7 +316,7 @@ def cmd_oracle(args, parser) -> int:
     if args.kind == "rcpsp" and args.capacity is None:
         parser.error("oracle rcpsp requires --capacity")
     if args.kind == "tctp":
-        instance = load_tctp(args.instance, indirect_cost=args.indirect_cost or 0)
+        instance = load_tctp(args.instance, indirect_cost=0 if _lacks_indirect_cost(args) else args.indirect_cost)
         if args.activities:
             net = induced_subnetwork(instance.network, args.activities)
             instance = TctpInstance(

@@ -70,13 +70,6 @@ class ProjectNetwork:
     def ids(self) -> tuple[int, ...]:
         return tuple(a.id for a in self.activities)
 
-    def activity(self, activity_id: int) -> Activity:
-        return self._by_id[activity_id]
-
-    @cached_property
-    def _by_id(self) -> dict[int, Activity]:
-        return {a.id: a for a in self.activities}
-
     @cached_property
     def _duration_map(self) -> dict[int, int]:
         return {a.id: a.duration for a in self.activities}
@@ -395,12 +388,8 @@ def parse_tctp_instance(document: str, indirect_cost_override: int | None = None
         predecessors[aid] = frozenset(_as_int(d, f"activity {aid} dependency") for d in deps)
         options[aid] = parsed
 
-    known = {a.id for a in activities}
-    for aid, deps in predecessors.items():
-        for d in deps:
-            if d not in known:
-                raise InstanceError(f"activity {aid} depends on unknown activity {d}")
     net = ProjectNetwork(activities=tuple(activities), predecessors=predecessors)
+    net.compiled  # raises on a duplicate id, a dangling reference or a cycle
     return TctpInstance(network=net, options=options, indirect_cost_per_day=indirect)
 
 

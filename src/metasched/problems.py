@@ -54,7 +54,6 @@ def rcpsp_problem(net: ProjectNetwork, capacity: int) -> SearchProblem:
         return tuple(out)
 
     return SearchProblem(
-        kind="rcpsp",
         size=n,
         initial=lambda rng: random_activity_list(net, rng),
         evaluate=evaluate,
@@ -129,7 +128,6 @@ def tctp_problem(instance: TctpInstance, indirect_cost: int | None = None) -> Se
         )
 
     return SearchProblem(
-        kind="tctp",
         size=n,
         initial=initial,
         evaluate=evaluate,

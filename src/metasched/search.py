@@ -96,7 +96,6 @@ class SearchProblem:
     per-gene rate so the GA default of 1/size needs no problem knowledge.
     """
 
-    kind: str  # "rcpsp" | "tctp"
     size: int
     initial: Callable[[random.Random], Candidate]
     evaluate: Callable[[Candidate], tuple[float, int, int]]
@@ -150,11 +149,8 @@ class _Tracker:
             self.best_duration = duration
             self.best_cost = cost
             self.trajectory.append((self.evaluations, fitness))
-        # Cheap dominance pre-check avoids allocating a point for the common
-        # case of a visited solution the archive already covers.
-        if not any(
-            p.duration <= duration and p.cost <= cost for p in self.archive.points
-        ):
+        # Most visited solutions are already covered: skip allocating their point.
+        if not self.archive.covers(duration, cost):
             self.archive = archive_insert(
                 self.archive, ParetoPoint(duration=duration, cost=cost, modes=candidate)
             )

@@ -40,6 +40,10 @@ class ParetoArchive:
 
     points: tuple[ParetoPoint, ...] = ()
 
+    def covers(self, duration: int, cost: int) -> bool:
+        """Whether some point is no worse than (duration, cost) in both objectives."""
+        return any(p.duration <= duration and p.cost <= cost for p in self.points)
+
 
 def evaluate_mode_vector(instance: TctpInstance, modes: ModeVector) -> TctpEvaluation:
     duration = makespan_for_modes(instance, modes)
@@ -56,11 +60,9 @@ def dominates(a: tuple[int, int], b: tuple[int, int]) -> bool:
 
 
 def archive_insert(archive: ParetoArchive, candidate: ParetoPoint) -> ParetoArchive:
-    obj = candidate.objectives
-    for p in archive.points:
-        if dominates(p.objectives, obj) or p.objectives == obj:
-            return archive
-    kept = [p for p in archive.points if not dominates(obj, p.objectives)]
+    if archive.covers(candidate.duration, candidate.cost):
+        return archive
+    kept = [p for p in archive.points if not dominates(candidate.objectives, p.objectives)]
     kept.append(candidate)
     kept.sort(key=lambda p: (p.duration, p.cost))
     return ParetoArchive(points=tuple(kept))

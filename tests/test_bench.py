@@ -1,6 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metasched.bench import (
     ExperimentSpec,
@@ -77,6 +80,39 @@ class TestPooledFront:
         contributors, _ = pooled_front(runs)
         assert set(contributors) == {(5, 9)}
         assert contributors[(5, 9)] == {"ts"}
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("sa", "ts", "ga")),
+                st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=8),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pairwise_filter(self, archives):
+        runs = []
+        for i, (algorithm, points) in enumerate(archives):
+            run = _fake_run(algorithm, points, seed=i)
+            # Candidates that name their run show which run a witness came from.
+            tagged = tuple(replace(p, modes=(i, p.duration)) for p in run.archive.points)
+            runs.append(replace(run, archive=ParetoArchive(tagged)))
+        assert pooled_front(runs) == _pairwise_front(runs)
+
+
+def _pairwise_front(runs):
+    """Reference for `pooled_front`: every attained point that no other
+    attained point dominates, with the first run's candidate as witness."""
+    attained, witness = {}, {}
+    for run in runs:
+        for p in run.archive.points:
+            key = (p.duration, p.cost)
+            attained.setdefault(key, set()).add(run.algorithm)
+            witness.setdefault(key, p.modes)
+    front = {p for p in attained if not any(q[0] <= p[0] and q[1] <= p[1] and q != p for q in attained)}
+    return {p: attained[p] for p in front}, {p: witness[p] for p in front}
 
 
 class TestSpec:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from metasched.cli import main
+from metasched.instances import read_bundled
 
 
 def run_cli(capsys, *argv):
@@ -260,6 +261,19 @@ class TestOracleCommand:
         assert "36,88600" in out
         assert "minimum total cost at I=0: 63400" in out
 
+    def test_tctp_oracle_reads_file_indirect_cost(self, capsys, tmp_path):
+        document = json.loads(read_bundled("table2"))
+        document["indirect_cost_per_day"] = 230
+        path = tmp_path / "table2-i230.json"
+        path.write_text(json.dumps(document))
+        code, out, _ = run_cli(capsys, "oracle", "tctp", "--instance", str(path), "--activities", "1-6")
+        assert code == 0
+        assert "minimum total cost at I=230: 74680" in out
+        code, out, _ = run_cli(
+            capsys, "oracle", "tctp", "--instance", str(path), "--activities", "1-6", "--indirect-cost", "0"
+        )
+        assert "minimum total cost at I=0: 63400" in out
+
     def test_oversized_oracle_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "tctp", "--instance", "table2")
         assert code == 1
@@ -337,11 +351,26 @@ class TestBenchCommand:
                 },
                 "unknown algorithms",
             ),
+            (
+                {"problem": {"kind": "tctp", "instance": "table2", "indirect_cost": 230}, "seeds": [1],
+                 "algorithms": ["sa", "ts", "sa"]},
+                "repeated algorithms ['sa']",
+            ),
+            (
+                {"problem": {"kind": "tctp", "instance": "table2", "indirect_cost": 230}, "seeds": [1, 2, 1]},
+                "repeated seeds [1]",
+            ),
+            (
+                {"problem": {"kind": "tctp", "instance": "table2", "indirect_cost": 230}, "seeds": [1],
+                 "algorithms": []},
+                "at least one algorithm required",
+            ),
         ],
         ids=[
             "no-problem", "no-instance", "no-kind", "unknown-config-key", "not-an-object",
             "seeds-not-a-list", "capacity-not-an-int", "indirect-cost-not-an-int",
-            "instance-not-a-string", "algorithm-not-a-name",
+            "instance-not-a-string", "algorithm-not-a-name", "repeated-algorithm", "repeated-seed",
+            "no-algorithms",
         ],
     )
     def test_malformed_spec_is_domain_error(self, capsys, tmp_path, spec, message):

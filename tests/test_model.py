@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -106,6 +107,23 @@ class TestParseTctp:
             '[{"id": 1, "depends": [99], "options": [{"duration": 1, "cost": 1}]}]}'
         )
         with pytest.raises(InstanceError, match="99"):
+            parse_tctp_instance(doc)
+
+    @pytest.mark.parametrize(
+        "depends, ids, message",
+        [
+            ([[2], [1]], [1, 2], r"cycle among activities \[1, 2\]"),
+            ([[], []], [1, 1], "duplicate activity id 1"),
+        ],
+        ids=["cycle", "duplicate-id"],
+    )
+    def test_network_checked_at_load(self, depends, ids, message):
+        activities = [
+            {"id": aid, "depends": deps, "options": [{"duration": 1, "cost": 1}]}
+            for aid, deps in zip(ids, depends)
+        ]
+        doc = json.dumps({"format": "tctp-v1", "indirect_cost_per_day": 0, "activities": activities})
+        with pytest.raises(InstanceError, match=message):
             parse_tctp_instance(doc)
 
 
