@@ -11,16 +11,8 @@ Usage: python demos/constrained_schedule.py
 from metasched.cpm import compute_cpm
 from metasched.instances import load_network
 from metasched.problems import rcpsp_problem
-from metasched.rcpsp import resource_profile, serial_sgs
-from metasched.search import (
-    GaConfig,
-    SaConfig,
-    TsConfig,
-    repair_precedence,
-    run_ga,
-    run_sa,
-    run_ts,
-)
+from metasched.rcpsp import repair_precedence, resource_profile, serial_sgs
+from metasched.search import GaConfig, SaConfig, TsConfig, run_ga, run_sa, run_ts
 
 CAPACITY = 7
 SEED = 1

@@ -18,7 +18,7 @@ from .model import (
     validate_network,
 )
 from .instances import list_bundled_instances, load_network, load_tctp
-from .problems import modes_to_vector, rcpsp_problem, tctp_problem, vector_to_modes
+from .problems import modes_to_vector, rcpsp_problem, tctp_problem
 from .rcpsp import (
     ResourceProfile,
     Schedule,

@@ -17,14 +17,8 @@ from pathlib import Path
 from . import __version__
 from .bench import ALGORITHMS, ExperimentSpec, algorithm_configs, csv_text, run_experiment, write_csv, write_report
 from .cpm import compute_cpm
-from .instances import (
-    export_bundled,
-    instance_text,
-    list_bundled_instances,
-    load_network,
-    load_tctp,
-)
-from .model import AOA_FORMAT, TCTP_FORMAT, InstanceError, TctpInstance, _load_json, induced_subnetwork
+from .instances import export_bundled, instance_text, list_bundled_instances, load_network
+from .model import AOA_FORMAT, TCTP_FORMAT, InstanceError, TctpInstance, _load_json, induced_subnetwork, parse_tctp_instance
 from .oracle import OracleGuard, exhaustive_rcpsp, exhaustive_tctp, longest_path_makespan
 from .problems import modes_to_vector, rcpsp_problem, tctp_problem
 from .rcpsp import SchedulingError, constrained_critical, resource_profile, serial_sgs
@@ -263,18 +257,20 @@ def cmd_rcpsp(args, parser) -> int:
     return 0
 
 
-def _lacks_indirect_cost(args) -> bool:
-    """Whether neither `--indirect-cost` nor the instance file gives an indirect cost."""
+def _read_tctp(args) -> tuple[dict, bool]:
+    """The parsed instance document, and whether neither `--indirect-cost`
+    nor the document gives an indirect cost."""
     document = _load_json(instance_text(args.instance))
-    return args.indirect_cost is None and "indirect_cost_per_day" not in document
+    return document, args.indirect_cost is None and "indirect_cost_per_day" not in document
 
 
 def cmd_tctp(args, parser) -> int:
-    if _lacks_indirect_cost(args):
+    document, lacks_indirect_cost = _read_tctp(args)
+    if lacks_indirect_cost:
         parser.error("--indirect-cost is required (instance file carries none)")
     if args.seed is None:
         parser.error("--seed is required for stochastic runs")
-    instance = load_tctp(args.instance, indirect_cost=args.indirect_cost)
+    instance = parse_tctp_instance(document, indirect_cost_override=args.indirect_cost)
     result = _search(args, tctp_problem(instance))
     if args.emit_front:
         write_csv(
@@ -316,7 +312,8 @@ def cmd_oracle(args, parser) -> int:
     if args.kind == "rcpsp" and args.capacity is None:
         parser.error("oracle rcpsp requires --capacity")
     if args.kind == "tctp":
-        instance = load_tctp(args.instance, indirect_cost=0 if _lacks_indirect_cost(args) else args.indirect_cost)
+        document, lacks_indirect_cost = _read_tctp(args)
+        instance = parse_tctp_instance(document, indirect_cost_override=0 if lacks_indirect_cost else args.indirect_cost)
         if args.activities:
             net = induced_subnetwork(instance.network, args.activities)
             instance = TctpInstance(

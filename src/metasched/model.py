@@ -345,14 +345,15 @@ def parse_aoa_instance(document: str) -> tuple[AoaArc, ...]:
     )
 
 
-def parse_tctp_instance(document: str, indirect_cost_override: int | None = None) -> TctpInstance:
-    """Parse a time-cost trade-off instance document.
+def parse_tctp_instance(document: str | dict, indirect_cost_override: int | None = None) -> TctpInstance:
+    """Parse a time-cost trade-off instance document, given as JSON text or
+    as its already decoded top-level object.
 
     The daily indirect cost may come from the file or from
     `indirect_cost_override` (which wins when both are present); it is an
     error if neither supplies it.
     """
-    data = _load_json(document)
+    data = document if isinstance(document, dict) else _load_json(document)
     if data.get("format") != TCTP_FORMAT:
         raise InstanceError(f"expected format {TCTP_FORMAT!r}, got {data.get('format')!r}")
     records = data.get("activities")

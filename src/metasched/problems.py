@@ -7,15 +7,15 @@ import random
 from operator import getitem
 
 from .model import ModeVector, ProjectNetwork, TctpInstance
-from .rcpsp import is_precedence_feasible, random_activity_list, serial_sgs
-from .search import (
-    Move,
-    SearchProblem,
-    neighbor_mode_change,
+from .rcpsp import (
     neighbor_swap,
     order_crossover,
+    random_activity_list,
     repair_precedence,
+    serial_sgs,
+    swappable,
 )
+from .search import Move, SearchProblem
 
 
 def rcpsp_problem(net: ProjectNetwork, capacity: int) -> SearchProblem:
@@ -23,7 +23,6 @@ def rcpsp_problem(net: ProjectNetwork, capacity: int) -> SearchProblem:
     by the serial schedule-generation scheme."""
     net.compiled  # raises InstanceError on a cycle or a dangling reference
     n = len(net.activities)
-    direct_preds = {aid: net.predecessors.get(aid, frozenset()) for aid in net.ids}
 
     def evaluate(order: tuple) -> tuple[float, int, int]:
         makespan = serial_sgs(net, capacity, order).makespan
@@ -32,13 +31,11 @@ def rcpsp_problem(net: ProjectNetwork, capacity: int) -> SearchProblem:
     def neighborhood(order: tuple) -> list[Move]:
         moves = []
         for i in range(n - 1):
-            a, b = order[i], order[i + 1]
-            if a in direct_preds[b]:
-                continue
-            swapped = list(order)
-            swapped[i], swapped[i + 1] = b, a
-            pair = frozenset((a, b))
-            moves.append(Move(tabu_key=pair, store_key=pair, candidate=tuple(swapped)))
+            if swappable(net, order, i):
+                swapped = list(order)
+                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+                pair = frozenset(order[i:i + 2])
+                moves.append(Move(tabu_key=pair, store_key=pair, candidate=tuple(swapped)))
         return moves
 
     def crossover(p1: tuple, p2: tuple, rng: random.Random) -> tuple:
@@ -49,7 +46,7 @@ def rcpsp_problem(net: ProjectNetwork, capacity: int) -> SearchProblem:
     def mutate(order: tuple, rate: float, rng: random.Random) -> tuple:
         out = list(order)
         for i in range(n - 1):
-            if rng.random() < rate and out[i] not in direct_preds[out[i + 1]]:
+            if rng.random() < rate and swappable(net, out, i):
                 out[i], out[i + 1] = out[i + 1], out[i]
         return tuple(out)
 
@@ -61,8 +58,22 @@ def rcpsp_problem(net: ProjectNetwork, capacity: int) -> SearchProblem:
         neighborhood=neighborhood,
         crossover=crossover,
         mutate=mutate,
-        is_feasible=lambda order: is_precedence_feasible(net, order),
     )
+
+
+def neighbor_mode_change(
+    option_counts: tuple[int, ...], modes: tuple, rng: random.Random
+) -> tuple:
+    """Replace one uniformly chosen activity's option index with a uniformly
+    chosen different valid index; activities with one option are never picked."""
+    mutable = [i for i, count in enumerate(option_counts) if count > 1]
+    if not mutable:
+        return modes
+    i = mutable[rng.randrange(len(mutable))]
+    alternatives = [idx for idx in range(1, option_counts[i] + 1) if idx != modes[i]]
+    changed = list(modes)
+    changed[i] = alternatives[rng.randrange(len(alternatives))]
+    return tuple(changed)
 
 
 def tctp_problem(instance: TctpInstance, indirect_cost: int | None = None) -> SearchProblem:
@@ -122,11 +133,6 @@ def tctp_problem(instance: TctpInstance, indirect_cost: int | None = None) -> Se
                 out[i] = rng.randrange(1, option_counts[i] + 1)
         return tuple(out)
 
-    def is_feasible(modes: tuple) -> bool:
-        return len(modes) == n and all(
-            1 <= modes[i] <= option_counts[i] for i in range(n)
-        )
-
     return SearchProblem(
         size=n,
         initial=initial,
@@ -135,14 +141,9 @@ def tctp_problem(instance: TctpInstance, indirect_cost: int | None = None) -> Se
         neighborhood=neighborhood,
         crossover=crossover,
         mutate=mutate,
-        is_feasible=is_feasible,
     )
 
 
 def modes_to_vector(instance: TctpInstance, candidate: tuple) -> ModeVector:
     """Convert a search candidate back into a per-activity mode vector."""
     return ModeVector(dict(zip(instance.network.ids, candidate)))
-
-
-def vector_to_modes(instance: TctpInstance, modes: ModeVector) -> tuple:
-    return tuple(modes.choices[aid] for aid in instance.network.ids)

@@ -1,14 +1,18 @@
-"""Resource-constrained scheduling: serial schedule-generation scheme,
-resource profiles, and feasibility audits under a single renewable capacity."""
+"""Resource-constrained scheduling: the activity-list representation and its
+operators, the serial schedule-generation scheme, resource profiles, and
+feasibility audits under a single renewable capacity."""
 
 from __future__ import annotations
 
+import heapq
 import random
 from bisect import bisect_left, bisect_right, insort
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from math import inf
 
-from .model import InstanceError, ProjectNetwork
+from .model import ProjectNetwork
 
 
 class SchedulingError(ValueError):
@@ -23,13 +27,16 @@ class Schedule:
 
 @dataclass(frozen=True)
 class ResourceProfile:
-    """Per-time-unit resource usage over [0, makespan)."""
+    """Piecewise-constant resource usage: `loads[k]` holds over
+    [times[k], times[k + 1]). Usage is 0 before the first breakpoint, and the
+    last load, from the last breakpoint on, is 0."""
 
-    usage: tuple[int, ...]
+    times: tuple[int, ...]
+    loads: tuple[int, ...]
 
     @property
     def peak(self) -> int:
-        return max(self.usage, default=0)
+        return max(self.loads, default=0)
 
 
 def is_precedence_feasible(net: ProjectNetwork, order: tuple[int, ...]) -> bool:
@@ -60,6 +67,68 @@ def random_activity_list(net: ProjectNetwork, rng: random.Random) -> tuple[int, 
             if indegree[s] == 0:
                 insort(ready, ids[s])
     return tuple(order)
+
+
+def order_crossover(parent1: tuple, parent2: tuple, cut1: int, cut2: int) -> tuple:
+    """Order crossover (OX) without feasibility repair.
+
+    The child keeps parent1's segment [cut1, cut2); the remaining positions,
+    taken in index order, receive the absent ids in the order they appear in
+    parent2. Precedence repair is the caller's job.
+    """
+    n = len(parent1)
+    if not 0 <= cut1 < cut2 <= n:
+        raise ValueError(f"invalid cuts ({cut1}, {cut2}) for length {n}")
+    if set(parent1) != set(parent2) or len(set(parent1)) != n:
+        raise ValueError("parents must be permutations of the same id set")
+    segment = set(parent1[cut1:cut2])
+    filler = iter(x for x in parent2 if x not in segment)
+    return tuple(parent1[i] if cut1 <= i < cut2 else next(filler) for i in range(n))
+
+
+def repair_precedence(net: ProjectNetwork, order: tuple) -> tuple:
+    """Stable topological reinsertion of a permutation of the network's ids:
+    among ready activities, always emit the one appearing earliest in `order`."""
+    view = net.compiled
+    dense = [view.index[aid] for aid in order]
+    position = [0] * len(dense)
+    for pos, i in enumerate(dense):
+        position[i] = pos
+    indegree = [len(ps) for ps in view.preds]
+    ready = [pos for pos, i in enumerate(dense) if indegree[i] == 0]  # ascending: a heap
+    succs = view.succs
+    repaired: list = []
+    while ready:
+        pos = heapq.heappop(ready)
+        repaired.append(order[pos])
+        for s in succs[dense[pos]]:
+            indegree[s] -= 1
+            if indegree[s] == 0:
+                heapq.heappush(ready, position[s])
+    return tuple(repaired)
+
+
+def swappable(net: ProjectNetwork, order: tuple | list, i: int) -> bool:
+    """Whether swapping positions i and i + 1 keeps a precedence-feasible
+    list feasible: the first is not a direct predecessor of the second."""
+    return order[i] not in net.predecessors.get(order[i + 1], ())
+
+
+def neighbor_swap(
+    net: ProjectNetwork, order: tuple, rng: random.Random, max_tries: int = 32
+) -> tuple:
+    """Swap a uniformly chosen adjacent pair whose swap keeps the list
+    precedence-feasible; unchanged if no such pair is found within the bound."""
+    n = len(order)
+    if n < 2:
+        return order
+    for _ in range(max_tries):
+        i = rng.randrange(n - 1)
+        if swappable(net, order, i):
+            swapped = list(order)
+            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+            return tuple(swapped)
+    return order
 
 
 def serial_sgs(
@@ -152,14 +221,18 @@ def resource_profile(
     schedule: Schedule,
     durations: dict[int, int] | None = None,
 ) -> ResourceProfile:
+    """Usage of the schedule's start times, by one sorted sweep over the
+    start and finish events; its size grows with the number of activities,
+    not with their durations."""
     if durations is None:
         durations = net.durations()
-    usage = [0] * schedule.makespan
+    change: Counter = Counter()
     for a in net.activities:
         start = schedule.start_times[a.id]
-        for t in range(start, start + durations[a.id]):
-            usage[t] += a.resource_demand
-    return ResourceProfile(usage=tuple(usage))
+        change[start] += a.resource_demand
+        change[start + durations[a.id]] -= a.resource_demand
+    times = tuple(t for t in sorted(change) if change[t])
+    return ResourceProfile(times=times, loads=tuple(accumulate(change[t] for t in times)))
 
 
 def check_schedule(
@@ -190,10 +263,10 @@ def check_schedule(
         report.append(
             f"recorded makespan {schedule.makespan} != actual {actual_makespan}"
         )
-    profile = resource_profile(net, Schedule(schedule.start_times, actual_makespan), durations)
-    for t, used in enumerate(profile.usage):
+    profile = resource_profile(net, schedule, durations)
+    for t1, t2, used in zip(profile.times, profile.times[1:], profile.loads):
         if used > capacity:
-            report.append(f"capacity exceeded at t={t}: usage {used} > {capacity}")
+            report.append(f"capacity exceeded over [{t1}, {t2}): usage {used} > {capacity}")
     return report
 
 

@@ -9,14 +9,12 @@ candidate are recorded.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from .model import ProjectNetwork
 from .tctp import ParetoArchive, ParetoPoint, archive_insert
 
 Candidate = tuple
@@ -103,7 +101,6 @@ class SearchProblem:
     neighborhood: Callable[[Candidate], list[Move]]
     crossover: Callable[[Candidate, Candidate, random.Random], Candidate]
     mutate: Callable[[Candidate, float, random.Random], Candidate]
-    is_feasible: Callable[[Candidate], bool]
 
 
 @dataclass(frozen=True)
@@ -349,83 +346,3 @@ def _tournament(
 ) -> Candidate:
     picks = [population[rng.randrange(len(population))] for _ in range(size)]
     return min(picks, key=lambda item: item[0])[1]
-
-
-# ---------------------------------------------------------------------------
-# Variation operators
-
-
-def order_crossover(
-    parent1: tuple, parent2: tuple, cut1: int, cut2: int
-) -> tuple:
-    """Order crossover (OX) without feasibility repair.
-
-    The child keeps parent1's segment [cut1, cut2); the remaining positions,
-    taken in index order, receive the absent ids in the order they appear in
-    parent2. Precedence repair is the caller's job.
-    """
-    n = len(parent1)
-    if not 0 <= cut1 < cut2 <= n:
-        raise ValueError(f"invalid cuts ({cut1}, {cut2}) for length {n}")
-    if set(parent1) != set(parent2) or len(set(parent1)) != n:
-        raise ValueError("parents must be permutations of the same id set")
-    segment = set(parent1[cut1:cut2])
-    filler = iter(x for x in parent2 if x not in segment)
-    child = [
-        parent1[i] if cut1 <= i < cut2 else next(filler) for i in range(n)
-    ]
-    return tuple(child)
-
-
-def repair_precedence(net: ProjectNetwork, order: tuple) -> tuple:
-    """Stable topological reinsertion of a permutation of the network's ids:
-    among ready activities, always emit the one appearing earliest in `order`."""
-    view = net.compiled
-    dense = [view.index[aid] for aid in order]
-    position = [0] * len(dense)
-    for pos, i in enumerate(dense):
-        position[i] = pos
-    indegree = [len(ps) for ps in view.preds]
-    ready = [pos for pos, i in enumerate(dense) if indegree[i] == 0]  # ascending: a heap
-    succs = view.succs
-    repaired: list = []
-    while ready:
-        pos = heapq.heappop(ready)
-        repaired.append(order[pos])
-        for s in succs[dense[pos]]:
-            indegree[s] -= 1
-            if indegree[s] == 0:
-                heapq.heappush(ready, position[s])
-    return tuple(repaired)
-
-
-def neighbor_swap(
-    net: ProjectNetwork, order: tuple, rng: random.Random, max_tries: int = 32
-) -> tuple:
-    """Swap a uniformly chosen adjacent pair whose swap keeps the list
-    precedence-feasible; unchanged if no such pair is found within the bound."""
-    n = len(order)
-    if n < 2:
-        return order
-    for _ in range(max_tries):
-        i = rng.randrange(n - 1)
-        if order[i] not in net.predecessors.get(order[i + 1], ()):
-            swapped = list(order)
-            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            return tuple(swapped)
-    return order
-
-
-def neighbor_mode_change(
-    option_counts: tuple[int, ...], modes: tuple, rng: random.Random
-) -> tuple:
-    """Replace one uniformly chosen activity's option index with a uniformly
-    chosen different valid index; activities with one option are never picked."""
-    mutable = [i for i, count in enumerate(option_counts) if count > 1]
-    if not mutable:
-        return modes
-    i = mutable[rng.randrange(len(mutable))]
-    alternatives = [idx for idx in range(1, option_counts[i] + 1) if idx != modes[i]]
-    changed = list(modes)
-    changed[i] = alternatives[rng.randrange(len(alternatives))]
-    return tuple(changed)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -55,6 +56,27 @@ class TestRcpspCommand:
         )
         assert code == 0
         assert "makespan: 151" in out
+
+    def test_long_duration_decodes_fast(self, capsys, tmp_path):
+        # The profile behind `peak usage` grows with the number of activities,
+        # not with their durations: one usage entry per time unit would need
+        # gigabytes here.
+        arcs = [
+            {"id": 1, "start": 1, "end": 3, "duration": 10**9, "demand": 2},
+            {"id": 2, "start": 1, "end": 2, "duration": 3, "demand": 1},
+            {"id": 3, "start": 2, "end": 3, "duration": 4, "demand": 2},
+        ]
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"format": "aoa-v1", "arcs": arcs}), encoding="utf-8")
+        started = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "rcpsp", "--instance", str(path), "--capacity", "4", "--list", "1,2,3"
+        )
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        assert "makespan: 1000000000" in out
+        assert "peak usage: 4" in out
+        assert elapsed < 0.5
 
     def test_search_run_json(self, capsys):
         code, out, _ = run_cli(

@@ -26,8 +26,7 @@ from metasched.model import (
 )
 from metasched.oracle import longest_path_makespan
 from metasched.problems import rcpsp_problem, tctp_problem
-from metasched.rcpsp import random_activity_list
-from metasched.search import repair_precedence
+from metasched.rcpsp import random_activity_list, repair_precedence
 from metasched.tctp import evaluate_mode_vector
 
 from conftest import dags

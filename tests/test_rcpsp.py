@@ -1,6 +1,10 @@
 import random
+import re
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metasched.cpm import compute_cpm
 from metasched.model import Activity, InstanceError, ProjectNetwork
@@ -11,13 +15,15 @@ from metasched.rcpsp import (
     check_schedule,
     constrained_critical,
     is_precedence_feasible,
+    neighbor_swap,
     random_activity_list,
+    repair_precedence,
     resource_profile,
     serial_sgs,
+    swappable,
 )
-from metasched.search import repair_precedence
 
-from conftest import random_dag
+from conftest import dags, random_dag
 
 # Ids sorted by ascending total float on the bundled network, then repaired
 # into a precedence-feasible list (the raw float ordering puts 17 before 3).
@@ -126,3 +132,56 @@ def test_constrained_critical_nonempty_under_capacity(table1):
     durations = table1.durations()
     last = max(table1.ids, key=lambda aid: schedule.start_times[aid] + durations[aid])
     assert last in critical
+
+
+def test_negative_start_is_not_wrapped():
+    # [-2, 1) at demand 2 and [0, 4) at demand 2 overlap only on [0, 1).
+    net = ProjectNetwork(activities=(Activity(1, 3, 2), Activity(2, 4, 2)), predecessors={})
+    schedule = Schedule(start_times={1: -2, 2: 0}, makespan=4)
+    assert check_schedule(net, schedule, 3) == ["capacity exceeded over [0, 1): usage 4 > 3"]
+    assert resource_profile(net, schedule).peak == 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(net=dags(), data=st.data())
+def test_profile_matches_per_unit_reference(net, data):
+    starts = {aid: data.draw(st.integers(-30, 60)) for aid in net.ids}
+    capacity = data.draw(st.integers(0, 6))
+    durations = net.durations()
+    usage = Counter()
+    for a in net.activities:
+        for t in range(starts[a.id], starts[a.id] + durations[a.id]):
+            usage[t] += a.resource_demand
+    makespan = max((starts[aid] + durations[aid] for aid in net.ids), default=0)
+    schedule = Schedule(start_times=starts, makespan=makespan)
+    assert resource_profile(net, schedule).peak == max(usage.values(), default=0)
+
+    reported = []
+    for line in check_schedule(net, schedule, capacity):
+        match = re.fullmatch(r"capacity exceeded over \[(-?\d+), (-?\d+)\): usage \d+ > \d+", line)
+        if match:
+            reported.extend(range(int(match[1]), int(match[2])))
+    assert len(reported) == len(set(reported))  # each unit in one reported piece
+    assert set(reported) == {t for t, used in usage.items() if used > capacity}
+
+
+@settings(max_examples=300, deadline=None)
+@given(net=dags(), seed=st.integers(0, 2**32 - 1))
+def test_swap_operators_keep_lists_feasible(net, seed):
+    rng = random.Random(seed)
+    order = random_activity_list(net, rng)
+    positions = range(len(order) - 1)
+    # The predicate is exact: an adjacent swap of a feasible list stays
+    # feasible if and only if it holds.
+    for i in positions:
+        swapped = (*order[:i], order[i + 1], order[i], *order[i + 2:])
+        assert swappable(net, order, i) == is_precedence_feasible(net, swapped)
+
+    problem = rcpsp_problem(net, capacity=sum(a.resource_demand for a in net.activities))
+    moves = problem.neighborhood(order)
+    moved = [next(i for i in positions if m.candidate[i] != order[i]) for m in moves]
+    assert moved == [i for i in positions if swappable(net, order, i)]
+    for m in moves:
+        assert is_precedence_feasible(net, m.candidate)
+    assert is_precedence_feasible(net, neighbor_swap(net, order, rng))
+    assert is_precedence_feasible(net, problem.mutate(order, 1.0, rng))

@@ -4,16 +4,12 @@ from dataclasses import replace
 
 import pytest
 
-from metasched.problems import rcpsp_problem, tctp_problem
-from metasched.rcpsp import is_precedence_feasible
+from metasched.problems import neighbor_mode_change, rcpsp_problem, tctp_problem
+from metasched.rcpsp import is_precedence_feasible, neighbor_swap, order_crossover, repair_precedence
 from metasched.search import (
     GaConfig,
     SaConfig,
     TsConfig,
-    neighbor_mode_change,
-    neighbor_swap,
-    order_crossover,
-    repair_precedence,
     run_ga,
     run_sa,
     run_ts,
@@ -189,11 +185,15 @@ class TestRunners:
         assert all(b < a for a, b in zip(fits, fits[1:]))
         assert fits[-1] == result.best_fitness
 
-    def test_best_is_feasible(self, request, problem_name, algo):
-        problem = request.getfixturevalue(problem_name)
+    def test_best_is_feasible(self, request, problem_name, algo, table1, table2):
+        option_counts = [len(table2.options[aid]) for aid in table2.network.ids]
         for seed in range(5):
-            result = self._run(request, problem_name, algo, seed=seed)
-            assert problem.is_feasible(result.best)
+            best = self._run(request, problem_name, algo, seed=seed).best
+            if problem_name == "rcpsp7":
+                assert is_precedence_feasible(table1, best)
+            else:
+                assert len(best) == len(option_counts)
+                assert all(1 <= mode <= count for mode, count in zip(best, option_counts))
 
     def test_archive_covers_best(self, request, problem_name, algo):
         result = self._run(request, problem_name, algo, seed=8)
