@@ -8,8 +8,10 @@ curve, and the search archive collects the non-dominated points it visits.
 Usage: python demos/tradeoff_front.py
 """
 
+from dataclasses import replace
+
 from metasched.instances import load_tctp
-from metasched.problems import modes_to_vector, tctp_problem
+from metasched.problems import tctp_problem
 from metasched.search import GaConfig, run_ga
 from metasched.tctp import ParetoArchive, archive_insert, min_direct_cost
 
@@ -23,7 +25,7 @@ def main() -> None:
     pooled = ParetoArchive()
     print(f"{'indirect/day':>12} {'best duration':>14} {'direct cost':>12} {'total':>10}")
     for indirect in (0, 100, 230, 500, 1000, 5000):
-        problem = tctp_problem(instance, indirect_cost=indirect)
+        problem = tctp_problem(replace(instance, indirect_cost_per_day=indirect))
         result = run_ga(problem, GaConfig(max_evaluations=10_000), SEED)
         print(
             f"{indirect:>12} {result.best_duration:>14} {result.best_cost:>12} "
@@ -37,8 +39,8 @@ def main() -> None:
         print(f"  {point.duration:>4} days  {point.cost:>8}")
 
     cheapest = pooled.points[-1]
-    modes = modes_to_vector(instance, cheapest.modes)
-    print(f"\nmode vector at the cheapest point: {modes.choices}")
+    modes = dict(zip(instance.network.ids, cheapest.modes))
+    print(f"\nmode vector at the cheapest point: {modes}")
 
 
 if __name__ == "__main__":

@@ -46,8 +46,8 @@ class ExperimentSpec:
             repeated = sorted({value for value in values if values.count(value) > 1})
             if repeated:
                 raise InstanceError(f"repeated {label} {repeated}")
-        problem = {key: getattr(self, key) for key in ("instance", "capacity", "indirect_cost")}
-        _check_types("experiment spec", self, problem)
+        checked = ("instance", "capacity", "indirect_cost", "max_evaluations")
+        _check_types("experiment spec", self, {key: getattr(self, key) for key in checked})
         if self.problem_kind == "rcpsp" and self.capacity is None:
             raise InstanceError("rcpsp experiments require a capacity")
         if self.problem_kind == "tctp" and self.indirect_cost is None:
@@ -67,25 +67,24 @@ class ExperimentSpec:
         missing = [key for key in ("kind", "instance") if key not in problem]
         if missing:
             raise InstanceError(f"experiment spec 'problem' lacks {missing}")
+        for key, kind in (("base_seed", int), ("runs", int), ("seeds", list), ("algorithms", list)):
+            if key in data and not _admits(data[key], kind):
+                raise InstanceError(f"malformed experiment spec: {key!r} must be {kind.__name__}, got {data[key]!r}")
         seeds = data.get("seeds")
-        try:
-            if seeds is None and "base_seed" in data:
-                seeds = range(data["base_seed"], data["base_seed"] + data.get("runs", 10))
-            seeds = tuple(int(s) for s in seeds or ())
-            max_evaluations = int(data.get("max_evaluations", 20_000))
-            algorithms = tuple(data.get("algorithms", ALGORITHMS))
-        except (TypeError, ValueError) as exc:
-            raise InstanceError(f"malformed experiment spec: {exc}") from exc
-        if not seeds:
+        if seeds is None and "base_seed" in data:
+            seeds = list(range(data["base_seed"], data["base_seed"] + data.get("runs", 10)))
+        if seeds is None:
             raise InstanceError("experiment spec needs 'seeds' or 'base_seed'/'runs'")
+        if not all(_admits(s, int) for s in seeds):
+            raise InstanceError(f"malformed experiment spec: 'seeds' must be a list of int, got {seeds!r}")
         return cls(
             problem_kind=problem["kind"],
             instance=problem["instance"],
             capacity=problem.get("capacity"),
             indirect_cost=problem.get("indirect_cost"),
-            seeds=seeds,
-            max_evaluations=max_evaluations,
-            algorithms=algorithms,
+            seeds=tuple(seeds),
+            max_evaluations=data.get("max_evaluations", 20_000),
+            algorithms=tuple(data.get("algorithms", ALGORITHMS)),
             **algorithm_configs(data.get("configs", {})),
         )
 
@@ -120,10 +119,14 @@ def _check_types(label: str, record_type, values: dict) -> None:
     `float | None`, does not admit."""
     annotations = {f.name: f.type for f in fields(record_type)}
     for key, value in values.items():
-        types = [_FIELD_TYPES[name] for name in annotations[key].split(" | ")]
-        # bool is a subclass of int: admit it only where the annotation names bool.
-        if not any(isinstance(value, t) for t in types) or isinstance(value, bool) and bool not in types:
+        if not _admits(value, *(_FIELD_TYPES[name] for name in annotations[key].split(" | "))):
             raise InstanceError(f"{label} {key!r} must be {annotations[key]}, got {value!r}")
+
+
+def _admits(value, *types) -> bool:
+    """Whether JSON `value` has one of `types`. bool is a subclass of int:
+    admit it only where `types` names bool."""
+    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .cpm import compute_cpm
 from .instances import export_bundled, instance_text, list_bundled_instances, load_network
 from .model import AOA_FORMAT, TCTP_FORMAT, InstanceError, TctpInstance, _load_json, induced_subnetwork, parse_tctp_instance
 from .oracle import OracleGuard, exhaustive_rcpsp, exhaustive_tctp, longest_path_makespan
-from .problems import modes_to_vector, rcpsp_problem, tctp_problem
+from .problems import rcpsp_problem, tctp_problem
 from .rcpsp import SchedulingError, constrained_critical, resource_profile, serial_sgs
 
 FORMATS = ("table", "csv", "json")
@@ -278,9 +278,8 @@ def cmd_tctp(args, parser) -> int:
             "duration,cost,modes",
             ((p.duration, p.cost, "-".join(map(str, p.modes))) for p in result.archive.points),
         )
-    modes = modes_to_vector(instance, result.best)
     payload = {
-        "modes": {str(aid): idx for aid, idx in sorted(modes.choices.items())},
+        "modes": {str(aid): idx for aid, idx in sorted(zip(instance.network.ids, result.best))},
         "duration": result.best_duration,
         "direct_cost": result.best_cost,
         "total_cost": int(result.best_fitness),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import CompiledNetwork, InstanceError, ModeVector, ProjectNetwork, TctpInstance
+from .model import CompiledNetwork, InstanceError, ProjectNetwork
 
 
 @dataclass(frozen=True)
@@ -64,14 +64,6 @@ def compute_cpm(net: ProjectNetwork, durations: dict[int, int] | None = None) ->
         rows[aid] = CpmRow(es, ef, ls, lf, ls - es)
     critical = frozenset(aid for aid, row in rows.items() if row.total_float == 0)
     return CpmResult(rows=rows, makespan=makespan, critical=critical)
-
-
-def makespan_for_modes(instance: TctpInstance, modes: ModeVector) -> int:
-    """Project duration when each activity runs at its chosen option's duration."""
-    modes.validate(instance)
-    view = instance.network.compiled
-    durations = [instance.option(aid, modes.choices[aid]).duration for aid in view.ids]
-    return max(view.early_finish(durations), default=0)
 
 
 def _dense_durations(view: CompiledNetwork, durations: dict[int, int] | None):

@@ -4,7 +4,7 @@ time-cost trade-off data, plus parsing and validation."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 AOA_FORMAT = "aoa-v1"
@@ -296,33 +296,6 @@ class TctpInstance:
     @property
     def n_activities(self) -> int:
         return len(self.network.activities)
-
-    def option(self, activity_id: int, index: int) -> ActivityOption:
-        """Look up a 1-based option index."""
-        opts = self.options[activity_id]
-        if not 1 <= index <= len(opts):
-            raise InstanceError(
-                f"activity {activity_id}: option index {index} out of range 1..{len(opts)}"
-            )
-        return opts[index - 1]
-
-
-@dataclass(frozen=True)
-class ModeVector:
-    """One chosen option index (1-based) per activity."""
-
-    choices: dict[int, int] = field(default_factory=dict)
-
-    def validate(self, instance: TctpInstance) -> None:
-        if set(self.choices) != set(instance.network.ids):
-            raise InstanceError("mode vector does not cover exactly the instance activities")
-        for aid, idx in self.choices.items():
-            instance.option(aid, idx)
-
-    @classmethod
-    def uniform(cls, instance: TctpInstance, index: int) -> "ModeVector":
-        """The vector choosing the same option index for every activity."""
-        return cls({aid: index for aid in instance.network.ids})
 
 
 def parse_aoa_instance(document: str) -> tuple[AoaArc, ...]:

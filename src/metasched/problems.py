@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from operator import getitem
 
-from .model import ModeVector, ProjectNetwork, TctpInstance
+from .model import ProjectNetwork, TctpInstance
 from .rcpsp import (
     neighbor_swap,
     order_crossover,
@@ -76,15 +76,16 @@ def neighbor_mode_change(
     return tuple(changed)
 
 
-def tctp_problem(instance: TctpInstance, indirect_cost: int | None = None) -> SearchProblem:
-    """Total-cost minimization over 1-based option-index vectors.
+def tctp_problem(instance: TctpInstance) -> SearchProblem:
+    """Total-cost minimization over mode vectors: tuples of 1-based option
+    indices in `instance.network.ids` order.
 
-    Candidates align with the instance's activity order; a fitness call is
-    the compiled network's forward pass over the chosen options' durations,
+    The total cost is duration * the instance's indirect cost per day + the
+    chosen options' direct costs, in exact integers. A fitness call is the
+    compiled network's forward pass over the chosen options' durations,
     cheap enough for large evaluation budgets.
     """
-    if indirect_cost is None:
-        indirect_cost = instance.indirect_cost_per_day
+    indirect_cost = instance.indirect_cost_per_day
     view = instance.network.compiled
     ids = view.ids
     n = len(ids)
@@ -142,8 +143,3 @@ def tctp_problem(instance: TctpInstance, indirect_cost: int | None = None) -> Se
         crossover=crossover,
         mutate=mutate,
     )
-
-
-def modes_to_vector(instance: TctpInstance, candidate: tuple) -> ModeVector:
-    """Convert a search candidate back into a per-activity mode vector."""
-    return ModeVector(dict(zip(instance.network.ids, candidate)))

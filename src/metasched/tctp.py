@@ -1,22 +1,11 @@
-"""Time-cost trade-off evaluation and non-dominated archive maintenance.
-
-Costs are exact integers (smallest currency unit); the total cost of a mode
-vector is duration * indirect_cost_per_day + sum of the chosen direct costs.
-"""
+"""Pareto dominance and the non-dominated (duration, cost) archive that the
+time-cost trade-off search keeps of the mode vectors it visits."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cpm import makespan_for_modes
-from .model import ModeVector, TctpInstance
-
-
-@dataclass(frozen=True)
-class TctpEvaluation:
-    duration: int
-    direct_cost: int
-    total_cost: int
+from .model import TctpInstance
 
 
 @dataclass(frozen=True)
@@ -43,15 +32,6 @@ class ParetoArchive:
     def covers(self, duration: int, cost: int) -> bool:
         """Whether some point is no worse than (duration, cost) in both objectives."""
         return any(p.duration <= duration and p.cost <= cost for p in self.points)
-
-
-def evaluate_mode_vector(instance: TctpInstance, modes: ModeVector) -> TctpEvaluation:
-    duration = makespan_for_modes(instance, modes)
-    direct = sum(
-        instance.option(aid, idx).direct_cost for aid, idx in modes.choices.items()
-    )
-    total = duration * instance.indirect_cost_per_day + direct
-    return TctpEvaluation(duration=duration, direct_cost=direct, total_cost=total)
 
 
 def dominates(a: tuple[int, int], b: tuple[int, int]) -> bool:

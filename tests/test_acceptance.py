@@ -10,7 +10,7 @@ import random
 from dataclasses import replace
 
 from metasched.cpm import compute_cpm
-from metasched.model import ModeVector, TctpInstance, induced_subnetwork
+from metasched.model import TctpInstance, induced_subnetwork
 from metasched.oracle import exhaustive_tctp, longest_path_makespan, oracle_serial_sgs
 from metasched.problems import rcpsp_problem, tctp_problem
 from metasched.rcpsp import check_schedule, random_activity_list, serial_sgs
@@ -44,8 +44,6 @@ def test_criterion_1_cpm_baseline(table1):
 
 
 def test_criterion_2_tctp_uniform_modes(table2):
-    from metasched.tctp import evaluate_mode_vector
-
     expected = {
         1: (100, 169820),
         2: (128, 136705),
@@ -53,11 +51,12 @@ def test_criterion_2_tctp_uniform_modes(table2):
         4: (166, 101178),
         5: (169, 99740),
     }
+    evaluate = tctp_problem(table2).evaluate
     for idx, (duration, direct) in expected.items():
-        ev = evaluate_mode_vector(table2, ModeVector.uniform(table2, idx))
-        assert (ev.duration, ev.direct_cost) == (duration, direct), f"option {idx}"
+        _, got_duration, got_direct = evaluate((idx,) * table2.n_activities)
+        assert (got_duration, got_direct) == (duration, direct), f"option {idx}"
     # Cross-check the all-option-2 duration on an independent decoder.
-    durations = {aid: table2.option(aid, 2).duration for aid in table2.network.ids}
+    durations = {aid: table2.options[aid][1].duration for aid in table2.network.ids}
     assert longest_path_makespan(table2.network, durations) == 128
     assert min_direct_cost(table2) == 99740
     print("ACCEPTANCE 2: PASS")
@@ -104,8 +103,8 @@ def test_criterion_5_constrained_search(table1):
 
 
 def test_criterion_6_tctp_extreme_indirect_costs(table2):
-    cheap = tctp_problem(table2, indirect_cost=0)
-    fast = tctp_problem(table2, indirect_cost=10**6)
+    cheap = tctp_problem(replace(table2, indirect_cost_per_day=0))
+    fast = tctp_problem(replace(table2, indirect_cost_per_day=10**6))
     for algo, (runner, config_cls) in RUNNERS.items():
         for seed in SEEDS:
             result = runner(cheap, config_cls(max_evaluations=20_000), seed)
@@ -124,7 +123,7 @@ def test_criterion_7_reduced_front_recovered(table2_sub6):
     for algo, (runner, config_cls) in RUNNERS.items():
         pooled = ParetoArchive()
         for seed, indirect in zip(SEEDS, indirect_schedule):
-            problem = tctp_problem(table2_sub6, indirect_cost=indirect)
+            problem = tctp_problem(replace(table2_sub6, indirect_cost_per_day=indirect))
             config = config_cls(max_evaluations=2000)
             if algo == "ts":
                 config = replace(config, stagnation_limit=10)
@@ -163,7 +162,7 @@ def test_criterion_8_search_invariants(table2):
             assert p is q or not dominates(p.objectives, q.objectives)
 
     # Seeded runs are reproducible and never exceed their budget.
-    problem = tctp_problem(table2, indirect_cost=230)
+    problem = tctp_problem(replace(table2, indirect_cost_per_day=230))
     for algo, (runner, config_cls) in RUNNERS.items():
         first = runner(problem, config_cls(max_evaluations=500), 99)
         second = runner(problem, config_cls(max_evaluations=500), 99)

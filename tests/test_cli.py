@@ -387,12 +387,29 @@ class TestBenchCommand:
                  "algorithms": []},
                 "at least one algorithm required",
             ),
+            *(
+                ({"problem": {"kind": "tctp", "instance": "table2", "indirect_cost": 230}, **fields}, message)
+                for fields, message in [
+                    ({"seeds": "12"}, "'seeds' must be list"),
+                    ({"seeds": [1.9]}, "'seeds' must be a list of int"),
+                    ({"seeds": [True]}, "'seeds' must be a list of int"),
+                    ({"seeds": [1], "max_evaluations": "50"}, "'max_evaluations' must be int"),
+                    ({"seeds": [1], "max_evaluations": 50.7}, "'max_evaluations' must be int"),
+                    ({"seeds": [1], "max_evaluations": True}, "'max_evaluations' must be int"),
+                    ({"base_seed": "1"}, "'base_seed' must be int"),
+                    ({"base_seed": 1, "runs": 2.5}, "'runs' must be int"),
+                    ({"base_seed": 1, "runs": False}, "'runs' must be int"),
+                    ({"seeds": [1], "algorithms": "sa"}, "'algorithms' must be list"),
+                ]
+            ),
         ],
         ids=[
             "no-problem", "no-instance", "no-kind", "unknown-config-key", "not-an-object",
             "seeds-not-a-list", "capacity-not-an-int", "indirect-cost-not-an-int",
             "instance-not-a-string", "algorithm-not-a-name", "repeated-algorithm", "repeated-seed",
-            "no-algorithms",
+            "no-algorithms", "seeds-a-string", "seed-a-float", "seed-a-bool",
+            "max-evaluations-a-string", "max-evaluations-a-float", "max-evaluations-a-bool",
+            "base-seed-a-string", "runs-a-float", "runs-a-bool", "algorithms-a-string",
         ],
     )
     def test_malformed_spec_is_domain_error(self, capsys, tmp_path, spec, message):

@@ -14,12 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metasched.cpm import backward_pass, compute_cpm, forward_pass, makespan_for_modes
+from metasched.cpm import backward_pass, compute_cpm, forward_pass
 from metasched.model import (
     Activity,
     ActivityOption,
     InstanceError,
-    ModeVector,
     ProjectNetwork,
     TctpInstance,
     validate_network,
@@ -27,7 +26,6 @@ from metasched.model import (
 from metasched.oracle import longest_path_makespan
 from metasched.problems import rcpsp_problem, tctp_problem
 from metasched.rcpsp import random_activity_list, repair_precedence
-from metasched.tctp import evaluate_mode_vector
 
 from conftest import dags
 
@@ -142,10 +140,6 @@ def _consumers(net):
         "repair_precedence": lambda: repair_precedence(net, net.ids),
         "rcpsp_problem": lambda: rcpsp_problem(net, capacity=10),
         "tctp_problem": lambda: tctp_problem(instance),
-        "makespan_for_modes": lambda: makespan_for_modes(instance, ModeVector.uniform(instance, 1)),
-        "evaluate_mode_vector": lambda: evaluate_mode_vector(
-            instance, ModeVector.uniform(instance, 1)
-        ),
     }
 
 

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from metasched.cpm import backward_pass, compute_cpm, forward_pass, makespan_for_modes
-from metasched.model import Activity, InstanceError, ModeVector, ProjectNetwork
+from metasched.cpm import backward_pass, compute_cpm, forward_pass
+from metasched.model import Activity, InstanceError, ProjectNetwork
 
 from conftest import random_dag
 
@@ -90,14 +90,3 @@ def test_total_float_nonnegative_random_networks():
             assert row.total_float >= 0
             assert row.early_finish - row.early_start == row.late_finish - row.late_start
         assert result.critical, "at least one critical activity must exist"
-
-
-def test_makespan_for_modes_uniform(table2):
-    # All-1 modes are the fastest options everywhere: the shortest duration.
-    assert makespan_for_modes(table2, ModeVector.uniform(table2, 1)) == 100
-    assert makespan_for_modes(table2, ModeVector.uniform(table2, 5)) == 169
-
-
-def test_makespan_for_modes_validates(table2):
-    with pytest.raises(InstanceError):
-        makespan_for_modes(table2, ModeVector({1: 1}))

@@ -1,8 +1,10 @@
 """Import boundaries between the package's modules, read from the source.
 
 The search core knows nothing of either problem: `search.py` reaches into the
-package only for the Pareto archive. The oracles check the production code
-from outside it, so `oracle.py` shares nothing with it but the data model.
+package only for the Pareto archive. CPM and the archive know nothing of mode
+vectors or of search: `cpm.py` and `tctp.py` read only the data model. The
+oracles check the production code from outside it, so `oracle.py` shares
+nothing with it but the data model.
 """
 
 import ast
@@ -29,6 +31,9 @@ def package_imports(module: str) -> set[str]:
     return found
 
 
-@pytest.mark.parametrize("module, allowed", [("search", {".tctp"}), ("oracle", {".model"})])
+@pytest.mark.parametrize(
+    "module, allowed",
+    [("search", {".tctp"}), ("oracle", {".model"}), ("cpm", {".model"}), ("tctp", {".model"})],
+)
 def test_package_imports(module, allowed):
     assert package_imports(module) <= allowed

@@ -139,7 +139,7 @@ def rcpsp7(table1):
 
 @pytest.fixture(scope="module")
 def tctp230(table2):
-    return tctp_problem(table2, indirect_cost=230)
+    return tctp_problem(replace(table2, indirect_cost_per_day=230))
 
 
 @pytest.mark.parametrize("algo", ["sa", "ts", "ga"])

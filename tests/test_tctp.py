@@ -5,16 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metasched.model import ModeVector
-from metasched.problems import modes_to_vector, tctp_problem
-from metasched.tctp import (
-    ParetoArchive,
-    ParetoPoint,
-    archive_insert,
-    dominates,
-    evaluate_mode_vector,
-    min_direct_cost,
-)
+from metasched.oracle import longest_path_makespan
+from metasched.problems import tctp_problem
+from metasched.tctp import ParetoArchive, ParetoPoint, archive_insert, dominates, min_direct_cost
 
 # Per-option-index (duration, direct cost) totals when every activity uses the
 # same option, for the bundled 18-activity instance.
@@ -29,28 +22,34 @@ UNIFORM_TOTALS = {
 
 class TestEvaluate:
     def test_uniform_mode_totals(self, table2):
+        evaluate = tctp_problem(table2).evaluate
         for idx, (duration, direct) in UNIFORM_TOTALS.items():
-            ev = evaluate_mode_vector(table2, ModeVector.uniform(table2, idx))
-            assert (ev.duration, ev.direct_cost) == (duration, direct), f"option {idx}"
-            assert ev.total_cost == direct  # indirect cost is zero here
+            # The indirect cost is zero here, so the total is the direct cost.
+            assert evaluate((idx,) * table2.n_activities) == (direct, duration, direct), f"option {idx}"
 
     def test_indirect_cost_enters_total(self, table2):
         priced = replace(table2, indirect_cost_per_day=230)
-        ev = evaluate_mode_vector(priced, ModeVector.uniform(priced, 1))
-        assert ev.total_cost == 100 * 230 + 169820
+        total, _, _ = tctp_problem(priced).evaluate((1,) * priced.n_activities)
+        assert total == 100 * 230 + 169820
 
     def test_min_direct_cost(self, table2):
         assert min_direct_cost(table2) == 99740
 
     @pytest.mark.parametrize("indirect", [0, 230, 10**6])
     def test_search_evaluator_agrees(self, table2, indirect):
+        """`evaluate` against the oracle's longest path over the chosen
+        options' durations plus the summed direct costs."""
         priced = replace(table2, indirect_cost_per_day=indirect)
         problem = tctp_problem(priced)
         rng = random.Random(indirect)
         for _ in range(500):
             candidate = problem.initial(rng)
-            ev = evaluate_mode_vector(priced, modes_to_vector(priced, candidate))
-            assert problem.evaluate(candidate) == (ev.total_cost, ev.duration, ev.direct_cost)
+            chosen = [priced.options[aid][idx - 1] for aid, idx in zip(priced.network.ids, candidate)]
+            duration = longest_path_makespan(
+                priced.network, {aid: o.duration for aid, o in zip(priced.network.ids, chosen)}
+            )
+            direct = sum(o.direct_cost for o in chosen)
+            assert problem.evaluate(candidate) == (duration * indirect + direct, duration, direct)
 
 
 class TestDominance:
