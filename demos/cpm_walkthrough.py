@@ -7,6 +7,8 @@ slack one does not.
 Usage: python demos/cpm_walkthrough.py
 """
 
+from dataclasses import replace
+
 from metasched.cpm import compute_cpm
 from metasched.instances import load_network
 
@@ -28,9 +30,8 @@ def main() -> None:
 
     # Sensitivity: +1 day on a critical activity vs. +1 day on a slack one.
     for aid in (17, 13):
-        durations = net.durations()
-        durations[aid] += 1
-        bumped = compute_cpm(net, durations).makespan
+        longer = tuple(replace(b, duration=b.duration + 1) if b.id == aid else b for b in net.activities)
+        bumped = compute_cpm(replace(net, activities=longer)).makespan
         kind = "critical" if aid in result.critical else "slack"
         print(
             f"lengthening {kind} activity {aid} by one day: "

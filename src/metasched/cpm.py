@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import CompiledNetwork, InstanceError, ProjectNetwork
+from .model import InstanceError, ProjectNetwork
 
 
 @dataclass(frozen=True)
@@ -23,40 +23,33 @@ class CpmResult:
     critical: frozenset[int]
 
 
-def forward_pass(
-    net: ProjectNetwork, durations: dict[int, int] | None = None
-) -> dict[int, tuple[int, int]]:
-    """Early start/finish per activity: start at the latest predecessor finish.
-
-    `durations` defaults to the activities' own, here and in `backward_pass`.
-    """
+def forward_pass(net: ProjectNetwork) -> dict[int, tuple[int, int]]:
+    """Early start/finish per activity: start at the latest predecessor finish."""
     view = net.compiled
-    dense = _dense_durations(view, durations)
-    finish = view.early_finish(dense)
-    return {view.ids[i]: (finish[i] - dense[i], finish[i]) for i in view.order}
+    durations = view.durations
+    finish = view.early_finish(durations)
+    return {view.ids[i]: (finish[i] - durations[i], finish[i]) for i in view.order}
 
 
-def backward_pass(
-    net: ProjectNetwork, durations: dict[int, int] | None, makespan: int
-) -> dict[int, tuple[int, int]]:
+def backward_pass(net: ProjectNetwork, makespan: int) -> dict[int, tuple[int, int]]:
     """Late start/finish per activity, anchored at the given makespan."""
     view = net.compiled
-    dense = _dense_durations(view, durations)
-    start = view.late_start(dense, makespan)
+    durations = view.durations
+    start = view.late_start(durations, makespan)
     # The earliest late start falls short of `makespan` by the longest path.
     project_end = makespan - min(start, default=makespan)
     if makespan < project_end:
         raise InstanceError(
             f"makespan {makespan} below forward-pass makespan {project_end}"
         )
-    return {view.ids[i]: (start[i], start[i] + dense[i]) for i in reversed(view.order)}
+    return {view.ids[i]: (start[i], start[i] + durations[i]) for i in reversed(view.order)}
 
 
-def compute_cpm(net: ProjectNetwork, durations: dict[int, int] | None = None) -> CpmResult:
+def compute_cpm(net: ProjectNetwork) -> CpmResult:
     """Both passes plus floats; critical activities are those with zero float."""
-    earliest = forward_pass(net, durations)
+    earliest = forward_pass(net)
     makespan = max((ef for _, ef in earliest.values()), default=0)
-    latest = backward_pass(net, durations, makespan)
+    latest = backward_pass(net, makespan)
     rows = {}
     for aid in net.ids:
         es, ef = earliest[aid]
@@ -64,12 +57,3 @@ def compute_cpm(net: ProjectNetwork, durations: dict[int, int] | None = None) ->
         rows[aid] = CpmRow(es, ef, ls, lf, ls - es)
     critical = frozenset(aid for aid, row in rows.items() if row.total_float == 0)
     return CpmResult(rows=rows, makespan=makespan, critical=critical)
-
-
-def _dense_durations(view: CompiledNetwork, durations: dict[int, int] | None):
-    if durations is None:
-        return view.durations
-    missing = [aid for aid in view.ids if aid not in durations]
-    if missing:
-        raise InstanceError(f"missing duration for activities {missing}")
-    return [durations[aid] for aid in view.ids]

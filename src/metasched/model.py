@@ -83,14 +83,6 @@ class ProjectNetwork:
         """The dense-index view every graph walk reads, built on first use."""
         return CompiledNetwork.build(self)
 
-    def durations(self) -> dict[int, int]:
-        return dict(self._duration_map)
-
-    def successors(self) -> dict[int, frozenset[int]]:
-        view = self.compiled
-        ids = view.ids
-        return {aid: frozenset(ids[s] for s in view.succs[i]) for i, aid in enumerate(ids)}
-
     def topological_order(self) -> tuple[int, ...]:
         """Deterministic topological order: level by level from the sources,
         ties broken by activity id."""
@@ -249,8 +241,13 @@ def derive_precedence_from_nodes(arcs: list[AoaArc] | tuple[AoaArc, ...]) -> Pro
 
 
 def induced_subnetwork(net: ProjectNetwork, keep: set[int] | frozenset[int]) -> ProjectNetwork:
-    """Restrict a network to a subset of activity ids, dropping outside edges."""
+    """Restrict a network to a subset of its activity ids, dropping outside
+    edges; an id the network does not hold raises `InstanceError`."""
     keep = frozenset(keep)
+    unknown = sorted(keep.difference(net.ids))
+    if unknown:
+        more = f" and {len(unknown) - 10} more" if len(unknown) > 10 else ""
+        raise InstanceError(f"activities {unknown[:10]}{more} are not in the network")
     activities = tuple(a for a in net.activities if a.id in keep)
     predecessors = {
         a.id: frozenset(net.predecessors.get(a.id, frozenset()) & keep) for a in activities

@@ -8,7 +8,7 @@ import heapq
 import random
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from math import inf
 
@@ -131,12 +131,7 @@ def neighbor_swap(
     return order
 
 
-def serial_sgs(
-    net: ProjectNetwork,
-    capacity: int,
-    order: tuple[int, ...],
-    durations: dict[int, int] | None = None,
-) -> Schedule:
+def serial_sgs(net: ProjectNetwork, capacity: int, order: tuple[int, ...]) -> Schedule:
     """Decode an activity list into a schedule.
 
     Activities are placed in list order at the earliest integer start that
@@ -155,8 +150,7 @@ def serial_sgs(
     the number of pieces, not with its duration.
     """
     activities = net.activities
-    if durations is None:
-        durations = net._duration_map
+    durations = net._duration_map
     demand = net._demand_map
     max_demand = max(demand.values(), default=0)
     if capacity < max_demand:
@@ -216,34 +210,22 @@ def serial_sgs(
     return Schedule(start_times=start_times, makespan=makespan)
 
 
-def resource_profile(
-    net: ProjectNetwork,
-    schedule: Schedule,
-    durations: dict[int, int] | None = None,
-) -> ResourceProfile:
+def resource_profile(net: ProjectNetwork, schedule: Schedule) -> ResourceProfile:
     """Usage of the schedule's start times, by one sorted sweep over the
     start and finish events; its size grows with the number of activities,
     not with their durations."""
-    if durations is None:
-        durations = net.durations()
     change: Counter = Counter()
     for a in net.activities:
         start = schedule.start_times[a.id]
         change[start] += a.resource_demand
-        change[start + durations[a.id]] -= a.resource_demand
+        change[start + a.duration] -= a.resource_demand
     times = tuple(t for t in sorted(change) if change[t])
     return ResourceProfile(times=times, loads=tuple(accumulate(change[t] for t in times)))
 
 
-def check_schedule(
-    net: ProjectNetwork,
-    schedule: Schedule,
-    capacity: int,
-    durations: dict[int, int] | None = None,
-) -> list[str]:
+def check_schedule(net: ProjectNetwork, schedule: Schedule, capacity: int) -> list[str]:
     """Audit precedence and capacity invariants; empty report means feasible."""
-    if durations is None:
-        durations = net.durations()
+    durations = net._duration_map
     report: list[str] = []
     for aid in net.ids:
         if aid not in schedule.start_times:
@@ -263,7 +245,7 @@ def check_schedule(
         report.append(
             f"recorded makespan {schedule.makespan} != actual {actual_makespan}"
         )
-    profile = resource_profile(net, schedule, durations)
+    profile = resource_profile(net, schedule)
     for t1, t2, used in zip(profile.times, profile.times[1:], profile.loads):
         if used > capacity:
             report.append(f"capacity exceeded over [{t1}, {t2}): usage {used} > {capacity}")
@@ -280,11 +262,9 @@ def constrained_critical(
     see whether the makespan grows.
     """
     base = serial_sgs(net, capacity, order).makespan
-    durations = net.durations()
     critical = set()
-    for aid in net.ids:
-        bumped = dict(durations)
-        bumped[aid] += 1
-        if serial_sgs(net, capacity, order, bumped).makespan > base:
-            critical.add(aid)
+    for a in net.activities:
+        longer = tuple(replace(b, duration=b.duration + 1) if b is a else b for b in net.activities)
+        if serial_sgs(replace(net, activities=longer), capacity, order).makespan > base:
+            critical.add(a.id)
     return frozenset(critical)

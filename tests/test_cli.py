@@ -308,6 +308,24 @@ class TestOracleCommand:
         assert code == 1
         assert err.startswith("error:") and "capacity 0" in err
 
+    @pytest.mark.parametrize(
+        "argv, unknown",
+        [
+            (("cpm", "--instance", "table1", "--activities", "100-101"), "[100, 101]"),
+            (("tctp", "--instance", "table2", "--activities", "5,99"), "[99]"),
+            (("rcpsp", "--instance", "table1", "--capacity", "7", "--activities", "100-101"), "[100, 101]"),
+            (
+                ("cpm", "--instance", "table1", "--activities", "1-30"),
+                "[18, 19, 20, 21, 22, 23, 24, 25, 26, 27] and 3 more",
+            ),
+        ],
+        ids=["cpm", "tctp", "rcpsp", "many"],
+    )
+    def test_ids_outside_instance_are_domain_error(self, capsys, argv, unknown):
+        code, out, err = run_cli(capsys, "oracle", *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: activities {unknown} are not in the network\n"
+
     def test_empty_activity_range_is_usage_error(self, capsys):
         err = usage_error(
             capsys, "oracle", "rcpsp", "--instance", "table1", "--capacity", "3",

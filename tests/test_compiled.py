@@ -129,12 +129,10 @@ def _with_back_edge(net, rng):
 def _consumers(net):
     options = {aid: (ActivityOption(1, 1), ActivityOption(2, 0)) for aid in net.ids}
     instance = TctpInstance(network=net, options=options, indirect_cost_per_day=0)
-    durations = net.durations()
     return {
         "topological_order": lambda: net.topological_order(),
-        "successors": lambda: net.successors(),
-        "forward_pass": lambda: forward_pass(net, durations),
-        "backward_pass": lambda: backward_pass(net, durations, 10**9),
+        "forward_pass": lambda: forward_pass(net),
+        "backward_pass": lambda: backward_pass(net, 10**9),
         "compute_cpm": lambda: compute_cpm(net),
         "random_activity_list": lambda: random_activity_list(net, random.Random(0)),
         "repair_precedence": lambda: repair_precedence(net, net.ids),

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from metasched.cpm import backward_pass, compute_cpm, forward_pass
+from metasched.cpm import backward_pass, compute_cpm
 from metasched.model import Activity, InstanceError, ProjectNetwork
 
 from conftest import random_dag
@@ -63,7 +63,7 @@ def test_chain_makespan():
 
 
 def test_backward_pass_with_slack_deadline(table1):
-    latest = backward_pass(table1, table1.durations(), makespan=130)
+    latest = backward_pass(table1, makespan=130)
     # Shifting the deadline by +4 shifts every late time by the same amount.
     assert latest[17] == (98, 130)
     assert latest[4] == (4, 44)
@@ -71,14 +71,7 @@ def test_backward_pass_with_slack_deadline(table1):
 
 def test_backward_pass_rejects_too_small_makespan(table1):
     with pytest.raises(InstanceError, match="below"):
-        backward_pass(table1, table1.durations(), makespan=100)
-
-
-def test_forward_pass_missing_duration(table1):
-    durations = table1.durations()
-    del durations[9]
-    with pytest.raises(InstanceError, match="9"):
-        forward_pass(table1, durations)
+        backward_pass(table1, makespan=100)
 
 
 def test_total_float_nonnegative_random_networks():

@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -119,9 +120,18 @@ def test_check_schedule_reports_all_violation_kinds(table1):
     assert any("unscheduled" in v for v in check_schedule(table1, missing, 7))
 
 
-def test_constrained_critical_unconstrained_matches_cpm(table1):
-    order = tuple(table1.topological_order())
-    assert constrained_critical(table1, 17, order) == compute_cpm(table1).critical
+@settings(max_examples=300, deadline=None)
+@given(net=dags())
+def test_constrained_critical_unconstrained_matches_cpm(net):
+    capacity = sum(a.resource_demand for a in net.activities)
+    cpm = compute_cpm(net)
+    assert constrained_critical(net, capacity, net.topological_order()) == cpm.critical
+    # A unit lengthening moves the project end by one day exactly on the
+    # zero-float activities, and not at all elsewhere.
+    for a in net.activities:
+        longer = tuple(replace(b, duration=b.duration + 1) if b is a else b for b in net.activities)
+        moved = compute_cpm(replace(net, activities=longer)).makespan - cpm.makespan
+        assert moved == (1 if a.id in cpm.critical else 0), a.id
 
 
 def test_constrained_critical_nonempty_under_capacity(table1):
@@ -129,7 +139,7 @@ def test_constrained_critical_nonempty_under_capacity(table1):
     assert critical
     # Lengthening the last-finishing activity always moves the makespan.
     schedule = serial_sgs(table1, 7, TF_REPAIRED)
-    durations = table1.durations()
+    durations = {a.id: a.duration for a in table1.activities}
     last = max(table1.ids, key=lambda aid: schedule.start_times[aid] + durations[aid])
     assert last in critical
 
@@ -147,7 +157,7 @@ def test_negative_start_is_not_wrapped():
 def test_profile_matches_per_unit_reference(net, data):
     starts = {aid: data.draw(st.integers(-30, 60)) for aid in net.ids}
     capacity = data.draw(st.integers(0, 6))
-    durations = net.durations()
+    durations = {a.id: a.duration for a in net.activities}
     usage = Counter()
     for a in net.activities:
         for t in range(starts[a.id], starts[a.id] + durations[a.id]):
