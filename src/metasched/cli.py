@@ -12,13 +12,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .bench import ALGORITHMS, ExperimentSpec, algorithm_configs, csv_text, run_experiment, write_csv, write_report
 from .cpm import compute_cpm
 from .instances import export_bundled, instance_text, list_bundled_instances, load_network
-from .model import AOA_FORMAT, TCTP_FORMAT, InstanceError, TctpInstance, _load_json, induced_subnetwork, parse_tctp_instance
+from .model import AOA_FORMAT, TCTP_FORMAT, InstanceError, _load_json, induced_subnetwork, parse_tctp_instance
 from .oracle import OracleGuard, exhaustive_rcpsp, exhaustive_tctp, longest_path_makespan
 from .problems import rcpsp_problem, tctp_problem
 from .rcpsp import SchedulingError, constrained_critical, resource_profile, serial_sgs
@@ -121,21 +122,21 @@ def _sample_size(text: str) -> int | str:
     return text if text == "full" else _positive_int(text)
 
 
-def _id_set(text: str) -> set[int]:
+def _id_set(text: str) -> range | set[int]:
     """An inclusive id range like 1-8, or comma-separated ids."""
     try:
         if "-" in text:
             lo, hi = text.split("-", 1)
-            ids = set(range(int(lo), int(hi) + 1))
+            ids = range(int(lo), int(hi) + 1)
         else:
             ids = {int(x) for x in text.split(",")}
-    except ValueError:
-        ids = set()
-    if not ids:
-        raise argparse.ArgumentTypeError(
-            f"expected an id range like 1-8 or ids like 1,3,5, got {text!r}"
-        )
-    return ids
+        if len(ids):  # overflows for a range of more than sys.maxsize ids
+            return ids
+    except (ValueError, OverflowError):
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected an id range like 1-8 or ids like 1,3,5, got {text!r}"
+    )
 
 
 # Algorithm config flags: (flag, algorithm, config field, argparse type, help).
@@ -315,11 +316,7 @@ def cmd_oracle(args, parser) -> int:
         instance = parse_tctp_instance(document, indirect_cost_override=0 if lacks_indirect_cost else args.indirect_cost)
         if args.activities:
             net = induced_subnetwork(instance.network, args.activities)
-            instance = TctpInstance(
-                network=net,
-                options={aid: instance.options[aid] for aid in net.ids},
-                indirect_cost_per_day=instance.indirect_cost_per_day,
-            )
+            instance = replace(instance, network=net, options={aid: instance.options[aid] for aid in net.ids})
         result = exhaustive_tctp(instance, OracleGuard())
         print("front (duration, direct_cost):")
         for duration, cost in result.front:

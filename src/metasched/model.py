@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 AOA_FORMAT = "aoa-v1"
 TCTP_FORMAT = "tctp-v1"
@@ -240,17 +241,21 @@ def derive_precedence_from_nodes(arcs: list[AoaArc] | tuple[AoaArc, ...]) -> Pro
     return net
 
 
-def induced_subnetwork(net: ProjectNetwork, keep: set[int] | frozenset[int]) -> ProjectNetwork:
+def induced_subnetwork(net: ProjectNetwork, keep: range | set[int] | frozenset[int]) -> ProjectNetwork:
     """Restrict a network to a subset of its activity ids, dropping outside
-    edges; an id the network does not hold raises `InstanceError`."""
-    keep = frozenset(keep)
-    unknown = sorted(keep.difference(net.ids))
-    if unknown:
-        more = f" and {len(unknown) - 10} more" if len(unknown) > 10 else ""
-        raise InstanceError(f"activities {unknown[:10]}{more} are not in the network")
+    edges; an id the network does not hold raises `InstanceError`. A `range`
+    is never expanded, so the check costs no more for a wide one."""
     activities = tuple(a for a in net.activities if a.id in keep)
+    unknown = len(keep) - len(activities)
+    if unknown:
+        held = frozenset(net.ids)
+        ascending = keep if isinstance(keep, range) else sorted(keep)
+        first = list(islice((i for i in ascending if i not in held), 10))
+        more = f" and {unknown - 10} more" if unknown > 10 else ""
+        raise InstanceError(f"activities {first}{more} are not in the network")
+    kept = frozenset(a.id for a in activities)
     predecessors = {
-        a.id: frozenset(net.predecessors.get(a.id, frozenset()) & keep) for a in activities
+        a.id: frozenset(net.predecessors.get(a.id, frozenset()) & kept) for a in activities
     }
     return ProjectNetwork(activities=activities, predecessors=predecessors)
 
@@ -362,24 +367,6 @@ def parse_tctp_instance(document: str | dict, indirect_cost_override: int | None
     net = ProjectNetwork(activities=tuple(activities), predecessors=predecessors)
     net.compiled  # raises on a duplicate id, a dangling reference or a cycle
     return TctpInstance(network=net, options=options, indirect_cost_per_day=indirect)
-
-
-def serialize_aoa_instance(arcs: tuple[AoaArc, ...]) -> str:
-    """Inverse of parse_aoa_instance (round-trips structurally)."""
-    payload = {
-        "format": AOA_FORMAT,
-        "arcs": [
-            {
-                "id": a.activity_id,
-                "start": a.start_node,
-                "end": a.end_node,
-                "duration": a.duration,
-                "demand": a.demand,
-            }
-            for a in arcs
-        ],
-    }
-    return json.dumps(payload, indent=2)
 
 
 def _load_json(document: str) -> dict:

@@ -51,7 +51,6 @@ def rcpsp_problem(net: ProjectNetwork, capacity: int) -> SearchProblem:
         return tuple(out)
 
     return SearchProblem(
-        size=n,
         initial=lambda rng: random_activity_list(net, rng),
         evaluate=evaluate,
         neighbor=lambda order, rng: neighbor_swap(net, order, rng),
@@ -70,9 +69,9 @@ def neighbor_mode_change(
     if not mutable:
         return modes
     i = mutable[rng.randrange(len(mutable))]
-    alternatives = [idx for idx in range(1, option_counts[i] + 1) if idx != modes[i]]
+    idx = rng.randrange(1, option_counts[i])  # skips modes[i] by moving up past it
     changed = list(modes)
-    changed[i] = alternatives[rng.randrange(len(alternatives))]
+    changed[i] = idx + (idx >= modes[i])
     return tuple(changed)
 
 
@@ -135,7 +134,6 @@ def tctp_problem(instance: TctpInstance) -> SearchProblem:
         return tuple(out)
 
     return SearchProblem(
-        size=n,
         initial=initial,
         evaluate=evaluate,
         neighbor=lambda modes, rng: neighbor_mode_change(option_counts, modes, rng),

@@ -91,10 +91,9 @@ class SearchProblem:
 
     `evaluate` returns (fitness, duration, cost); fitness is minimized and
     duration/cost feed the visited-solution archive. `mutate` takes a
-    per-gene rate so the GA default of 1/size needs no problem knowledge.
+    per-gene rate; the GA defaults it to 1/len(candidate).
     """
 
-    size: int
     initial: Callable[[random.Random], Candidate]
     evaluate: Callable[[Candidate], tuple[float, int, int]]
     neighbor: Callable[[Candidate, random.Random], Candidate]
@@ -312,12 +311,12 @@ def _diversify(
 def run_ga(problem: SearchProblem, config: GaConfig, seed: int) -> RunResult:
     rng = random.Random(seed)
     tracker = _Tracker(problem, config.max_evaluations)
-    rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / problem.size
 
     population: list[tuple[float, Candidate]] = []
     while len(population) < config.population_size and tracker.remaining > 0:
         candidate = problem.initial(rng)
         population.append((tracker.evaluate(candidate), candidate))
+    rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / len(population[0][1])
 
     generations = 0
     while tracker.remaining > 0 and population:

@@ -3,7 +3,9 @@ time-cost trade-off search keeps of the mode vectors it visits."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .model import TctpInstance
 
@@ -30,8 +32,10 @@ class ParetoArchive:
     points: tuple[ParetoPoint, ...] = ()
 
     def covers(self, duration: int, cost: int) -> bool:
-        """Whether some point is no worse than (duration, cost) in both objectives."""
-        return any(p.duration <= duration and p.cost <= cost for p in self.points)
+        """Whether some point is no worse than (duration, cost) in both objectives;
+        costs fall as durations rise, so the last point no longer than `duration` decides."""
+        i = bisect_right(self.points, duration, key=attrgetter("duration"))
+        return i > 0 and self.points[i - 1].cost <= cost
 
 
 def dominates(a: tuple[int, int], b: tuple[int, int]) -> bool:

@@ -318,8 +318,12 @@ class TestOracleCommand:
                 ("cpm", "--instance", "table1", "--activities", "1-30"),
                 "[18, 19, 20, 21, 22, 23, 24, 25, 26, 27] and 3 more",
             ),
+            (
+                ("cpm", "--instance", "table1", "--activities", "1-1000000000"),
+                "[18, 19, 20, 21, 22, 23, 24, 25, 26, 27] and 999999973 more",
+            ),
         ],
-        ids=["cpm", "tctp", "rcpsp", "many"],
+        ids=["cpm", "tctp", "rcpsp", "many", "wide"],
     )
     def test_ids_outside_instance_are_domain_error(self, capsys, argv, unknown):
         code, out, err = run_cli(capsys, "oracle", *argv)
@@ -331,6 +335,10 @@ class TestOracleCommand:
             capsys, "oracle", "rcpsp", "--instance", "table1", "--capacity", "3",
             "--activities", "5-1",
         )
+        assert "argument --activities" in err
+
+    def test_uncountable_activity_range_is_usage_error(self, capsys):
+        err = usage_error(capsys, "oracle", "cpm", "--instance", "table1", "--activities", f"1-{10**30}")
         assert "argument --activities" in err
 
 

@@ -13,7 +13,6 @@ from metasched.model import (
     induced_subnetwork,
     parse_aoa_instance,
     parse_tctp_instance,
-    serialize_aoa_instance,
     validate_network,
 )
 
@@ -76,10 +75,6 @@ class TestParseAoa:
     def test_demand_defaults_to_one(self):
         arcs = parse_aoa_instance('{"format": "aoa-v1", "arcs": [{"id": 1, "start": 0, "end": 1, "duration": 2}]}')
         assert arcs[0].demand == 1
-
-    def test_roundtrip(self):
-        arcs = parse_aoa_instance(TABLE1_TEXT)
-        assert parse_aoa_instance(serialize_aoa_instance(arcs)) == arcs
 
 
 class TestParseTctp:

@@ -3,6 +3,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metasched.problems import neighbor_mode_change, rcpsp_problem, tctp_problem
 from metasched.rcpsp import is_precedence_feasible, neighbor_swap, order_crossover, repair_precedence
@@ -130,6 +132,31 @@ class TestNeighborOperators:
     def test_mode_change_no_mutable_positions(self):
         rng = random.Random(0)
         assert neighbor_mode_change((1, 1), (1, 1), rng) == (1, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(0, 2**64))
+    def test_mode_change_draws_like_list_version(self, data, seed):
+        counts = tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=8)))
+        modes = tuple(data.draw(st.integers(1, count)) for count in counts)
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            changed = neighbor_mode_change(counts, modes, rng)
+            assert changed == _list_mode_change(counts, modes, reference_rng)
+            assert rng.getstate() == reference_rng.getstate()
+            modes = changed
+
+
+def _list_mode_change(option_counts, modes, rng):
+    """Reference for `neighbor_mode_change`: pick the new index from the
+    explicit list of the other valid indices."""
+    mutable = [i for i, count in enumerate(option_counts) if count > 1]
+    if not mutable:
+        return modes
+    i = mutable[rng.randrange(len(mutable))]
+    alternatives = [idx for idx in range(1, option_counts[i] + 1) if idx != modes[i]]
+    changed = list(modes)
+    changed[i] = alternatives[rng.randrange(len(alternatives))]
+    return tuple(changed)
 
 
 @pytest.fixture(scope="module")

@@ -117,6 +117,10 @@ class TestArchive:
         # Every inserted point is dominated-or-equalled by something kept.
         for raw in raw_points:
             assert any(o == raw or dominates(o, raw) for o in objs)
+        # `covers` answers every query as a scan over all points would.
+        for d in range(42):
+            for c in range(42):
+                assert archive.covers(d, c) == any(p.duration <= d and p.cost <= c for p in archive.points)
 
     @settings(max_examples=100, deadline=None)
     @given(
