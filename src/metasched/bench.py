@@ -262,7 +262,7 @@ def export_front_csv(report: ExperimentReport, destination: str | Path) -> None:
 def export_summary_csv(report: ExperimentReport, destination: str | Path) -> None:
     write_csv(
         destination,
-        "algorithm,min_duration,min_cost,min_iterations,avg_duration,avg_cost,avg_iterations,success_pct",
+        "algorithm,min_duration,min_fitness,best_run_iterations,avg_duration,avg_fitness,avg_iterations,success_pct",
         (
             (s.algorithm, s.min_duration, s.min_cost, s.best_run_iterations)
             + tuple(f"{x:.2f}" for x in (s.avg_duration, s.avg_cost, s.avg_iterations, s.success_pct))

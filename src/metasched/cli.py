@@ -59,29 +59,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_cpm.add_argument("--format", choices=FORMATS, default="table")
     p_cpm.set_defaults(handler=cmd_cpm)
 
-    p_rcpsp = sub.add_parser("rcpsp", help="resource-constrained scheduling search")
-    p_rcpsp.add_argument("--instance", required=True)
-    p_rcpsp.add_argument("--capacity", type=int, required=True)
-    p_rcpsp.add_argument("--algo", choices=ALGORITHMS, default="ga")
-    p_rcpsp.add_argument("--seed", type=int)
-    p_rcpsp.add_argument("--max-evals", type=_positive_int, default=20_000)
-    p_rcpsp.add_argument("--list", dest="fixed_list", help="comma-separated activity ids; decode without searching")
-    p_rcpsp.add_argument("--format", choices=FORMATS, default="table")
-    p_rcpsp.add_argument("--trace", help="write per-evaluation best-so-far CSV here")
-    _add_config_flags(p_rcpsp)
-    p_rcpsp.set_defaults(handler=cmd_rcpsp)
-
-    p_tctp = sub.add_parser("tctp", help="time-cost trade-off search")
-    p_tctp.add_argument("--instance", required=True)
-    p_tctp.add_argument("--indirect-cost", type=int)
-    p_tctp.add_argument("--algo", choices=ALGORITHMS, default="ga")
-    p_tctp.add_argument("--seed", type=int)
-    p_tctp.add_argument("--max-evals", type=_positive_int, default=20_000)
-    p_tctp.add_argument("--emit-front", help="write this run's non-dominated set as CSV")
-    p_tctp.add_argument("--format", choices=FORMATS, default="table")
-    p_tctp.add_argument("--trace", help="write per-evaluation best-so-far CSV here")
-    _add_config_flags(p_tctp)
-    p_tctp.set_defaults(handler=cmd_tctp)
+    # rcpsp and tctp: the same search flags around one problem flag and one output flag each.
+    for name, text, (problem_flag, required), (output_flag, dest, output_text), handler in (
+        ("rcpsp", "resource-constrained scheduling search", ("--capacity", True),
+         ("--list", "fixed_list", "comma-separated activity ids; decode without searching"), cmd_rcpsp),
+        ("tctp", "time-cost trade-off search", ("--indirect-cost", False),
+         ("--emit-front", "emit_front", "write this run's non-dominated set as CSV"), cmd_tctp),
+    ):
+        p_search = sub.add_parser(name, help=text)
+        p_search.add_argument("--instance", required=True)
+        p_search.add_argument(problem_flag, type=int, required=required)
+        p_search.add_argument("--algo", choices=ALGORITHMS, default="ga")
+        p_search.add_argument("--seed", type=int)
+        p_search.add_argument("--max-evals", type=_positive_int)  # unset: the config's max_evaluations
+        p_search.add_argument(output_flag, dest=dest, help=output_text)
+        p_search.add_argument("--format", choices=FORMATS, default="table")
+        p_search.add_argument("--trace", help="write per-evaluation best-so-far CSV here")
+        p_search.add_argument("--config", help="algorithm config file (JSON); defaults to $METASCHED_CONFIG")
+        for flag, _, _, kind, flag_text in CONFIG_FLAGS:
+            p_search.add_argument(flag, type=kind, help=flag_text)
+        p_search.set_defaults(handler=handler)
 
     p_bench = sub.add_parser("bench", help="multi-seed experiment from a spec file")
     p_bench.add_argument("--spec", required=True)
@@ -155,18 +152,13 @@ CONFIG_FLAGS = (
 )
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="algorithm config file (JSON); defaults to $METASCHED_CONFIG")
-    for flag, _, _, kind, text in CONFIG_FLAGS:
-        parser.add_argument(flag, type=kind, help=text)
-
-
 def resolve_configs(args) -> dict[str, object]:
     """Config file sections (from --config or $METASCHED_CONFIG) with
-    --max-evals and the config flags applied on top."""
+    --max-evals and the config flags, where given, applied on top."""
     path = args.config or os.environ.get("METASCHED_CONFIG")
     sections = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
-    overrides = {name: {"max_evaluations": args.max_evals} for name in ALGORITHMS}
+    budget = {} if args.max_evals is None else {"max_evaluations": args.max_evals}
+    overrides = {name: dict(budget) for name in ALGORITHMS}
     for flag, algorithm, key, _, _ in CONFIG_FLAGS:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:

@@ -59,16 +59,12 @@ def longest_path_makespan(net: ProjectNetwork, durations: dict[int, int] | None 
     return max(dist.values(), default=0)
 
 
-def exhaustive_tctp(
-    instance: TctpInstance,
-    guard: OracleGuard = OracleGuard(),
-    indirect_cost: int | None = None,
-) -> ExhaustiveTctpResult:
+def exhaustive_tctp(instance: TctpInstance, guard: OracleGuard = OracleGuard()) -> ExhaustiveTctpResult:
     """Enumerate every option combination.
 
     Returns the exact non-dominated (duration, direct cost) set and, for the
-    given daily indirect cost (default: the instance's), the exact minimum of
-    duration * I + direct cost together with an attaining choice vector.
+    instance's daily indirect cost I, the exact minimum of duration * I +
+    direct cost together with an attaining choice vector.
     """
     ids = [a.id for a in instance.network.activities]
     if len(ids) > guard.max_activities:
@@ -80,8 +76,6 @@ def exhaustive_tctp(
         combos *= len(instance.options[aid])
     if combos > guard.max_states:
         raise OracleLimitError(f"{combos} combinations exceed state budget {guard.max_states}")
-    if indirect_cost is None:
-        indirect_cost = instance.indirect_cost_per_day
 
     option_lists = [instance.options[aid] for aid in ids]
     points: set[tuple[int, int]] = set()
@@ -94,7 +88,7 @@ def exhaustive_tctp(
         duration = longest_path_makespan(instance.network, durations)
         direct = sum(option_lists[i][combo[i]].direct_cost for i in range(len(ids)))
         points.add((duration, direct))
-        total = duration * indirect_cost + direct
+        total = duration * instance.indirect_cost_per_day + direct
         if best_total is None or total < best_total:
             best_total = total
             best_choices = {aid: combo[i] + 1 for i, aid in enumerate(ids)}

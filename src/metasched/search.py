@@ -42,7 +42,6 @@ class TsConfig:
     neighborhood_sample: int | str = "full"
     max_evaluations: int = 20_000
     stagnation_limit: int = 30  # iterations without improvement before diversifying
-    record_moves: bool = False
 
     def __post_init__(self):
         if self.tabu_tenure < 1 or self.max_evaluations < 1:
@@ -114,7 +113,6 @@ class RunResult:
     native_iterations: int
     trajectory: tuple[tuple[int, float], ...]  # (evaluation index, best-so-far)
     archive: ParetoArchive
-    move_log: tuple = ()
 
 
 class _Tracker:
@@ -152,7 +150,7 @@ class _Tracker:
             )
         return fitness
 
-    def result(self, algorithm: str, seed: int, native_iterations: int, move_log=()) -> RunResult:
+    def result(self, algorithm: str, seed: int, native_iterations: int) -> RunResult:
         return RunResult(
             algorithm=algorithm,
             seed=seed,
@@ -164,7 +162,6 @@ class _Tracker:
             native_iterations=native_iterations,
             trajectory=tuple(self.trajectory),
             archive=self.archive,
-            move_log=tuple(move_log),
         )
 
 
@@ -234,7 +231,6 @@ def run_ts(problem: SearchProblem, config: TsConfig, seed: int) -> RunResult:
 
     tabu_until: dict = {}
     frequency: Counter = Counter()
-    move_log: list[tuple] = []
     iteration = 0
     last_improvement = 0
     while tracker.remaining > 0:
@@ -245,44 +241,23 @@ def run_ts(problem: SearchProblem, config: TsConfig, seed: int) -> RunResult:
             break
         if config.neighborhood_sample != "full" and len(moves) > config.neighborhood_sample:
             moves = rng.sample(moves, config.neighborhood_sample)
-        scored: list[tuple[float, int, Move]] = []
-        for i, move in enumerate(moves):
-            if tracker.remaining <= 0:
+        scored = [(tracker.evaluate(move.candidate), i, move) for i, move in enumerate(moves[: tracker.remaining])]
+        scored.sort()  # the unique index breaks fitness ties by position, so moves are never compared
+        chosen = scored[0][2]  # taken when every move is tabu and none aspires
+        for fitness, _, move in scored:  # the best move that is not tabu or beats the best so far (aspiration)
+            if tabu_until.get(move.tabu_key, 0) < iteration or fitness < best_before:
+                chosen = move
                 break
-            scored.append((tracker.evaluate(move.candidate), i, move))
-        if not scored:
-            break
-        scored.sort(key=lambda item: (item[0], item[1]))
-
-        chosen = None
-        chosen_fitness = math.inf
-        was_tabu = aspirated = fallback = False
-        for fitness, _, move in scored:
-            tabu = tabu_until.get(move.tabu_key, 0) >= iteration
-            if not tabu:
-                chosen, chosen_fitness, was_tabu = move, fitness, False
-                break
-            if fitness < best_before:  # aspiration: beats the global best
-                chosen, chosen_fitness, was_tabu, aspirated = move, fitness, True, True
-                break
-        if chosen is None:  # everything tabu and nothing aspires: take the best anyway
-            chosen_fitness, _, chosen = scored[0]
-            was_tabu, fallback = True, True
-
         current = chosen.candidate
         tabu_until[chosen.store_key] = iteration + config.tabu_tenure
         frequency[chosen.store_key] += 1
-        if config.record_moves:
-            move_log.append(
-                (iteration, chosen.store_key, chosen.tabu_key, was_tabu, aspirated, fallback, chosen_fitness)
-            )
 
         if tracker.best_fitness < best_before:
             last_improvement = iteration
         elif iteration - last_improvement >= config.stagnation_limit:
             current = _diversify(problem, tracker, current, frequency, rng)
             last_improvement = iteration
-    return tracker.result("ts", seed, native_iterations=iteration, move_log=move_log)
+    return tracker.result("ts", seed, native_iterations=iteration)
 
 
 def _diversify(
@@ -319,7 +294,7 @@ def run_ga(problem: SearchProblem, config: GaConfig, seed: int) -> RunResult:
     rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / len(population[0][1])
 
     generations = 0
-    while tracker.remaining > 0 and population:
+    while tracker.remaining > 0:
         generations += 1
         population.sort(key=lambda item: item[0])
         next_population = population[: config.elitism_count]

@@ -209,7 +209,9 @@ class TestExports:
         write_report(small_report, tmp_path)
         assert json.loads((tmp_path / "report.json").read_text())["summaries"]
         summary = (tmp_path / "summary.csv").read_text().splitlines()
-        assert summary[0].startswith("algorithm,min_duration,min_cost")
+        assert summary[0] == (
+            "algorithm,min_duration,min_fitness,best_run_iterations,avg_duration,avg_fitness,avg_iterations,success_pct"
+        )
         assert len(summary) == 4
         front = (tmp_path / "front.csv").read_text().splitlines()
         assert front[0] == "algorithm,duration,cost,modes_or_list"

@@ -1,9 +1,11 @@
 import json
 import time
+from dataclasses import fields
 
 import pytest
 
-from metasched.cli import main
+from metasched.bench import ALGORITHMS
+from metasched.cli import CONFIG_FLAGS, build_parser, main, resolve_configs
 from metasched.instances import read_bundled
 
 
@@ -233,6 +235,19 @@ class TestConfigResolution:
         assert code == 1
         assert err.startswith("error:") and "bogus" in err
 
+    def test_config_file_budget_applies_without_max_evals(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"ga": {"max_evaluations": 50}}))
+        tctp = ("tctp", "--instance", "table2", "--indirect-cost", "230", "--config", str(config))
+        configs = resolve_configs(build_parser().parse_args(tctp))
+        assert (configs["ga"].max_evaluations, configs["sa"].max_evaluations) == (50, 20_000)
+        assert resolve_configs(build_parser().parse_args([*tctp, "--max-evals", "70"]))["ga"].max_evaluations == 70
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_every_config_field_has_a_flag(self, algorithm):
+        config_type, _ = ALGORITHMS[algorithm]
+        flagged = {key for _, owner, key, _, _ in CONFIG_FLAGS if owner == algorithm}
+        assert {f.name for f in fields(config_type)} == flagged | {"max_evaluations"}
 
     def test_wrong_typed_config_value_is_domain_error(self, capsys, tmp_path, monkeypatch):
         config = tmp_path / "config.json"
@@ -374,6 +389,14 @@ class TestBenchCommand:
                 },
                 "unknown sa config keys ['bogus']",
             ),
+            (
+                {
+                    "problem": {"kind": "tctp", "instance": "table2", "indirect_cost": 230},
+                    "seeds": [1],
+                    "configs": {"ts": {"record_moves": True}},
+                },
+                "unknown ts config keys ['record_moves']",
+            ),
             ([1, 2], "top level must be an object"),
             (
                 {"problem": {"kind": "tctp", "instance": "table2"}, "seeds": 5},
@@ -430,7 +453,7 @@ class TestBenchCommand:
             ),
         ],
         ids=[
-            "no-problem", "no-instance", "no-kind", "unknown-config-key", "not-an-object",
+            "no-problem", "no-instance", "no-kind", "unknown-config-key", "record-moves", "not-an-object",
             "seeds-not-a-list", "capacity-not-an-int", "indirect-cost-not-an-int",
             "instance-not-a-string", "algorithm-not-a-name", "repeated-algorithm", "repeated-seed",
             "no-algorithms", "seeds-a-string", "seed-a-float", "seed-a-bool",

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -51,13 +52,13 @@ class TestExhaustiveTctp:
         assert len(set(costs)) == len(costs)
 
     def test_min_total_cost_at_zero_indirect(self, table2_sub6):
-        result = exhaustive_tctp(table2_sub6, indirect_cost=0)
+        result = exhaustive_tctp(replace(table2_sub6, indirect_cost_per_day=0))
         assert result.min_total_cost == 63400
         assert set(result.best_choices) == set(table2_sub6.network.ids)
 
     def test_min_total_cost_tracks_indirect_cost(self, table2_sub6):
         # With a huge daily cost the optimum must sit at the fastest duration.
-        result = exhaustive_tctp(table2_sub6, indirect_cost=10**6)
+        result = exhaustive_tctp(replace(table2_sub6, indirect_cost_per_day=10**6))
         assert result.min_total_cost == 36 * 10**6 + 88600
 
     def test_guard_on_activity_count(self, table2):

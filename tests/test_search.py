@@ -236,35 +236,59 @@ def test_sa_explicit_temperature_skips_calibration(rcpsp7):
     assert result.native_iterations == 149  # one evaluation spent on the start
 
 
-def test_ts_move_log_invariants(tctp230):
-    result = run_ts(
-        tctp230,
-        TsConfig(max_evaluations=2000, record_moves=True, stagnation_limit=10),
-        seed=2,
-    )
-    assert result.move_log
-    iterations = [entry[0] for entry in result.move_log]
-    assert iterations == sorted(iterations)
-    for _, store_key, tabu_key, was_tabu, aspirated, fallback, fitness in result.move_log:
-        if was_tabu:
-            assert aspirated or fallback
+@pytest.mark.parametrize("seed", [2, 6])
+@pytest.mark.parametrize("sample", ["full", 4])
+@pytest.mark.parametrize("problem_name", ["rcpsp7", "tctp230"])
+def test_ts_picks_by_tenure_and_aspiration(request, problem_name, sample, seed):
+    """Replay a TS run from its `neighborhood` and `evaluate` calls: each
+    iteration must move to the best-scored move that is not tabu or beats
+    the best fitness so far, else to the best-scored move."""
+    problem = request.getfixturevalue(problem_name)
+    calls = []  # ("neighborhood", current, moves) and ("evaluate", candidate, fitness)
+
+    def neighborhood(current):
+        moves = problem.neighborhood(current)
+        calls.append(("neighborhood", current, moves))
+        return moves
+
+    def evaluate(candidate):
+        result = problem.evaluate(candidate)
+        calls.append(("evaluate", candidate, result[0]))
+        return result
+
+    config = TsConfig(max_evaluations=3000, neighborhood_sample=sample, stagnation_limit=10**9)
+    run_ts(replace(problem, neighborhood=neighborhood, evaluate=evaluate), config, seed)
+
+    # Iteration k evaluates its sampled moves between the k-th and (k+1)-th
+    # neighborhood call, and the (k+1)-th call receives the move it took.
+    starts = [k for k, call in enumerate(calls) if call[0] == "neighborhood"]
+    best = calls[0][2]  # the initial candidate's fitness
+    tabu_until: dict = {}
+    aspirations = fallbacks = 0
+    for iteration, (start, end) in enumerate(zip(starts, starts[1:]), start=1):
+        moves = {move.candidate: move for move in calls[start][2]}
+        assert len(moves) == len(calls[start][2])
+        evaluated = calls[start + 1:end]
+        scored = sorted((fitness, i, moves[candidate]) for i, (_, candidate, fitness) in enumerate(evaluated))
+        allowed = [
+            (fitness, move) for fitness, _, move in scored
+            if tabu_until.get(move.tabu_key, 0) < iteration or fitness < best
+        ]
+        if allowed:
+            _, chosen = allowed[0]
+            aspirations += tabu_until.get(chosen.tabu_key, 0) >= iteration
         else:
-            assert not aspirated and not fallback
-
-
-def test_ts_tabu_blocks_immediate_reversal(tctp230):
-    result = run_ts(
-        tctp230,
-        TsConfig(max_evaluations=3000, record_moves=True),
-        seed=6,
-    )
-    # A plainly accepted move whose attribute was stored at iteration k cannot
-    # be re-applied without aspiration/fallback within the tenure window.
-    stored_at: dict = {}
-    for iteration, store_key, tabu_key, was_tabu, aspirated, fallback, _ in result.move_log:
-        if not was_tabu and tabu_key in stored_at:
-            assert iteration - stored_at[tabu_key] > 7
-        stored_at[store_key] = iteration
+            chosen = scored[0][2]
+            fallbacks += 1
+        assert calls[end][1] == chosen.candidate, iteration
+        tabu_until[chosen.store_key] = iteration + config.tabu_tenure
+        best = min(best, scored[0][0])
+    assert len(starts) > 10
+    # A sampled neighbourhood exercises both exceptions to the tabu rule.
+    if sample == 4 and problem_name == "tctp230":
+        assert aspirations >= 1
+    if sample == 4 and problem_name == "rcpsp7":
+        assert fallbacks >= 1
 
 
 def test_ga_elites_survive(tctp230):
