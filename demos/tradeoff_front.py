@@ -13,14 +13,15 @@ from dataclasses import replace
 from metasched.instances import load_tctp
 from metasched.problems import tctp_problem
 from metasched.search import GaConfig, run_ga
-from metasched.tctp import ParetoArchive, archive_insert, min_direct_cost
+from metasched.tctp import ParetoArchive, archive_insert
 
 SEED = 3
 
 
 def main() -> None:
     instance = load_tctp("table2", indirect_cost=0)
-    print(f"activities: {instance.n_activities}, cheapest direct cost {min_direct_cost(instance)}\n")
+    cheapest_direct = sum(min(o.direct_cost for o in opts) for opts in instance.options.values())
+    print(f"activities: {len(instance.network.ids)}, cheapest direct cost {cheapest_direct}\n")
 
     pooled = ParetoArchive()
     print(f"{'indirect/day':>12} {'best duration':>14} {'direct cost':>12} {'total':>10}")

@@ -4,6 +4,7 @@ non-dominated front, and deterministic CSV/JSON exports."""
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -17,6 +18,8 @@ from .tctp import ParetoArchive, archive_insert
 ALGORITHMS = {"sa": (SaConfig, run_sa), "ts": (TsConfig, run_ts), "ga": (GaConfig, run_ga)}
 # JSON value types admitted by each name in a field annotation.
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "None": type(None)}
+# Most seeds (`runs`) one experiment takes: each algorithm runs once per seed.
+MAX_SEEDS = 10_000
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,7 @@ class ExperimentSpec:
         if unknown:
             raise InstanceError(f"unknown algorithms {unknown}")
         for label, values in (("algorithms", self.algorithms), ("seeds", self.seeds)):
-            repeated = sorted({value for value in values if values.count(value) > 1})
+            repeated = sorted(value for value, count in Counter(values).items() if count > 1)
             if repeated:
                 raise InstanceError(f"repeated {label} {repeated}")
         checked = ("instance", "capacity", "indirect_cost", "max_evaluations")
@@ -71,12 +74,20 @@ class ExperimentSpec:
             if key in data and not _admits(data[key], kind):
                 raise InstanceError(f"malformed experiment spec: {key!r} must be {kind.__name__}, got {data[key]!r}")
         seeds = data.get("seeds")
+        wanted = data.get("runs", 10) if seeds is None else len(seeds)
+        if wanted > MAX_SEEDS:
+            raise InstanceError(f"at most {MAX_SEEDS} seeds per experiment, got {wanted}")
         if seeds is None and "base_seed" in data:
-            seeds = list(range(data["base_seed"], data["base_seed"] + data.get("runs", 10)))
+            seeds = list(range(data["base_seed"], data["base_seed"] + wanted))
         if seeds is None:
             raise InstanceError("experiment spec needs 'seeds' or 'base_seed'/'runs'")
         if not all(_admits(s, int) for s in seeds):
             raise InstanceError(f"malformed experiment spec: 'seeds' must be a list of int, got {seeds!r}")
+        sections = data.get("configs", {})
+        configs = algorithm_configs(sections)
+        budgeted = [name for name in ALGORITHMS if "max_evaluations" in sections.get(name, {})]
+        if budgeted:
+            raise InstanceError(f"'max_evaluations' is set once, at the spec's top level, not in {budgeted} configs")
         return cls(
             problem_kind=problem["kind"],
             instance=problem["instance"],
@@ -85,7 +96,7 @@ class ExperimentSpec:
             seeds=tuple(seeds),
             max_evaluations=data.get("max_evaluations", 20_000),
             algorithms=tuple(data.get("algorithms", ALGORITHMS)),
-            **algorithm_configs(data.get("configs", {})),
+            **configs,
         )
 
 

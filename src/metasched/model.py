@@ -58,10 +58,8 @@ class ProjectNetwork:
 
     Instances are immutable after construction; `predecessors` maps every
     activity id to a (possibly empty) frozenset of activity ids. Construction
-    does not validate: `validate_network` reports violations of the acyclicity
-    and reference invariants, so that broken inputs can be diagnosed rather
-    than rejected opaquely. The first use of `compiled` raises `InstanceError`
-    on a network that violates them.
+    does not validate: the first use of `compiled` raises `InstanceError` on a
+    duplicate id, a reference to an unknown activity or a cycle.
     """
 
     activities: tuple[Activity, ...]
@@ -187,38 +185,14 @@ class CompiledNetwork:
 
 
 def validate_network(net: ProjectNetwork) -> list[str]:
-    """Check a network's structural invariants.
-
-    Returns a list of human-readable violations; empty iff ids are unique,
-    every reference resolves, and the relation is acyclic (so a non-empty
-    network has at least one source and one sink).
-    """
-    report: list[str] = []
-    ids = [a.id for a in net.activities]
-    seen: set[int] = set()
-    for aid in ids:
-        if aid in seen:
-            report.append(f"duplicate activity id {aid}")
-        seen.add(aid)
-    known = set(ids)
-    for aid, preds in net.predecessors.items():
-        if aid not in known:
-            report.append(f"predecessor entry for unknown activity {aid}")
-        for p in preds:
-            if p not in known:
-                report.append(f"activity {aid} depends on nonexistent activity {p}")
-    # Cycle check over the resolvable references, by compiling them.
-    resolved = net
-    if report:
-        resolved = ProjectNetwork(
-            activities=tuple({a.id: a for a in net.activities}.values()),
-            predecessors={aid: net.predecessors.get(aid, frozenset()) & known for aid in known},
-        )
+    """The first violation of a network's structural invariants (a duplicate
+    id, a reference to an unknown activity, a cycle) that `compiled` raises,
+    as a one-entry list; empty when there is none."""
     try:
-        resolved.compiled
+        net.compiled
     except InstanceError as exc:
-        report.append(str(exc))
-    return report
+        return [str(exc)]
+    return []
 
 
 def derive_precedence_from_nodes(arcs: list[AoaArc] | tuple[AoaArc, ...]) -> ProjectNetwork:
@@ -294,10 +268,6 @@ class TctpInstance:
                 raise InstanceError(f"activity {aid} has more than 5 options")
         if set(self.options) != set(self.network.ids):
             raise InstanceError("options do not cover exactly the network's activities")
-
-    @property
-    def n_activities(self) -> int:
-        return len(self.network.activities)
 
 
 def parse_aoa_instance(document: str) -> tuple[AoaArc, ...]:

@@ -39,18 +39,6 @@ class ResourceProfile:
         return max(self.loads, default=0)
 
 
-def is_precedence_feasible(net: ProjectNetwork, order: tuple[int, ...]) -> bool:
-    """True iff every activity appears after all of its predecessors."""
-    if sorted(order) != sorted(net.ids):
-        return False
-    position = {aid: i for i, aid in enumerate(order)}
-    return all(
-        position[p] < position[aid]
-        for aid in order
-        for p in net.predecessors.get(aid, ())
-    )
-
-
 def random_activity_list(net: ProjectNetwork, rng: random.Random) -> tuple[int, ...]:
     """Uniformly random-ish precedence-feasible permutation (random eligible pick)."""
     view = net.compiled

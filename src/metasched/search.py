@@ -172,10 +172,7 @@ def sa_accept_probability(delta: float, temperature: float) -> float:
         raise ValueError(f"temperature must be positive, got {temperature}")
     if delta <= 0:
         return 1.0
-    exponent = -delta / temperature
-    if exponent < -745:  # exp underflow threshold
-        return 0.0
-    return math.exp(exponent)
+    return math.exp(-delta / temperature)
 
 
 def run_sa(problem: SearchProblem, config: SaConfig, seed: int) -> RunResult:

@@ -7,8 +7,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .model import TctpInstance
-
 
 @dataclass(frozen=True)
 class ParetoPoint:
@@ -51,8 +49,3 @@ def archive_insert(archive: ParetoArchive, candidate: ParetoPoint) -> ParetoArch
     kept.sort(key=lambda p: (p.duration, p.cost))
     return ParetoArchive(points=tuple(kept))
 
-
-def min_direct_cost(instance: TctpInstance) -> int:
-    """Sum of each activity's cheapest option: a direct-cost lower bound, and
-    the exact optimum when the indirect cost is zero."""
-    return sum(min(o.direct_cost for o in opts) for opts in instance.options.values())

@@ -7,6 +7,15 @@ from metasched.instances import load_network, load_tctp
 from metasched.model import Activity, ProjectNetwork, TctpInstance, induced_subnetwork
 
 
+def is_precedence_feasible(net: ProjectNetwork, order: tuple[int, ...]) -> bool:
+    """True iff `order` holds each of the network's ids once, every activity
+    after all of its predecessors."""
+    if sorted(order) != sorted(net.ids):
+        return False
+    position = {aid: i for i, aid in enumerate(order)}
+    return all(position[p] < position[aid] for aid in order for p in net.predecessors.get(aid, ()))
+
+
 @pytest.fixture(scope="session")
 def table1():
     return load_network("table1")

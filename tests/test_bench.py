@@ -143,6 +143,13 @@ class TestSpec:
         )
         assert spec.seeds == (100, 101, 102, 103)
 
+    def test_seed_count_bounded(self):
+        problem = {"kind": "rcpsp", "instance": "table1", "capacity": 7}
+        spec = ExperimentSpec.from_json(json.dumps({"problem": problem, "seeds": list(range(10_000))}))
+        assert len(spec.seeds) == 10_000
+        with pytest.raises(InstanceError, match="at most 10000 seeds per experiment, got 10001"):
+            ExperimentSpec.from_json(json.dumps({"problem": problem, "seeds": list(range(10_001))}))
+
     def test_missing_seeds_rejected(self):
         with pytest.raises(InstanceError, match="seeds"):
             ExperimentSpec.from_json(

@@ -397,6 +397,21 @@ class TestBenchCommand:
                 },
                 "unknown ts config keys ['record_moves']",
             ),
+            (
+                {
+                    "problem": {"kind": "tctp", "instance": "table2", "indirect_cost": 230},
+                    "seeds": [1],
+                    "max_evaluations": 30,
+                    "algorithms": ["ga"],
+                    "configs": {"ga": {"max_evaluations": 10}},
+                },
+                "'max_evaluations' is set once, at the spec's top level, not in ['ga'] configs",
+            ),
+            (
+                {"problem": {"kind": "tctp", "instance": "table2", "indirect_cost": 230}, "base_seed": 1,
+                 "runs": 10**12},
+                "at most 10000 seeds per experiment, got 1000000000000",
+            ),
             ([1, 2], "top level must be an object"),
             (
                 {"problem": {"kind": "tctp", "instance": "table2"}, "seeds": 5},
@@ -453,7 +468,8 @@ class TestBenchCommand:
             ),
         ],
         ids=[
-            "no-problem", "no-instance", "no-kind", "unknown-config-key", "record-moves", "not-an-object",
+            "no-problem", "no-instance", "no-kind", "unknown-config-key", "record-moves", "config-budget",
+            "runs-above-bound", "not-an-object",
             "seeds-not-a-list", "capacity-not-an-int", "indirect-cost-not-an-int",
             "instance-not-a-string", "algorithm-not-a-name", "repeated-algorithm", "repeated-seed",
             "no-algorithms", "seeds-a-string", "seed-a-float", "seed-a-bool",

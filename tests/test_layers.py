@@ -1,39 +1,138 @@
-"""Import boundaries between the package's modules, read from the source.
+"""Import boundaries and the contents of the package, read from the source.
 
 The search core knows nothing of either problem: `search.py` reaches into the
-package only for the Pareto archive. CPM and the archive know nothing of mode
-vectors or of search: `cpm.py` and `tctp.py` read only the data model. The
-oracles check the production code from outside it, so `oracle.py` shares
-nothing with it but the data model.
+package only for the Pareto archive. CPM knows nothing of mode vectors or of
+search: `cpm.py` reads only the data model, and the archive in `tctp.py`
+imports nothing from the package. The oracles check the production code from
+outside it, so `oracle.py` shares nothing with it but the data model.
+
+`src/` holds only what a production path reads: every function, class and
+public method there is used by other code in the package, or is allowlisted
+with the files outside `src/` that call it. The package depends on nothing
+outside the standard library.
 """
 
 import ast
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-import metasched
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "metasched"
 
-PACKAGE = Path(metasched.__file__).parent
+# Definitions that no code under src/ reads, each with the files outside src/
+# that call it. The list should only shrink.
+OUTSIDE_CALLERS = {
+    "ProjectNetwork.topological_order": ("perfbench/trace.py", "demos/constrained_schedule.py"),
+    "validate_network": ("perfbench/workloads.py",),
+    # The schedule audit the tests run on decoded schedules: safety code.
+    "check_schedule": ("tests/test_serial_sgs.py", "tests/test_acceptance.py"),
+}
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def package_trees() -> dict[str, ast.Module]:
+    """Every module under the package, keyed by its path relative to it."""
+    return {str(path.relative_to(PACKAGE)): parse(path) for path in sorted(PACKAGE.rglob("*.py"))}
+
+
+def imported_modules(tree: ast.Module):
+    """Each module an import under `tree` names, as written: `.tctp` for a
+    relative import, `metasched.tctp` for an absolute one."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or "")
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
 
 
 def package_imports(module: str) -> set[str]:
-    """The package modules that `module` imports, as written: `.tctp` for a
-    relative import, `metasched.tctp` for an absolute one."""
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
-    found = set()
+    """The package modules that `module` imports, as written."""
+    return {
+        name
+        for name in imported_modules(parse(PACKAGE / f"{module}.py"))
+        if name.startswith(".") or name.split(".")[0] == "metasched"
+    }
+
+
+def references(tree: ast.AST) -> Counter:
+    """How often each name is used under `tree`: as a `Name`, an `Attribute`,
+    an import alias, or a string constant (a `getattr`/`setattr` target)."""
+    used = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level:
-            found.add("." * node.level + (node.module or ""))
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
-            found.update(name for name in names if name.split(".")[0] == "metasched")
-    return found
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            used[node.name.rsplit(".", 1)[-1]] += 1
+            if node.asname:
+                used[node.asname] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used[node.value] += 1
+    return used
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, node) of each module-level function and class, and
+    of each public method of those classes."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, kinds[:2]) and not method.name.startswith("_"):
+                    yield f"{node.name}.{method.name}", method
+
+
+def unreferenced_definitions(trees: dict[str, ast.Module]) -> set[str]:
+    """The definitions whose name appears nowhere in `trees` outside their own body."""
+    used = sum(map(references, trees.values()), Counter())
+    return {
+        qualname
+        for tree in trees.values()
+        for qualname, node in definitions(tree)
+        if used[node.name] == references(node)[node.name]
+    }
 
 
 @pytest.mark.parametrize(
     "module, allowed",
-    [("search", {".tctp"}), ("oracle", {".model"}), ("cpm", {".model"}), ("tctp", {".model"})],
+    [("search", {".tctp"}), ("oracle", {".model"}), ("cpm", {".model"}), ("tctp", set())],
 )
 def test_package_imports(module, allowed):
     assert package_imports(module) <= allowed
+
+
+def test_src_holds_only_what_src_reads():
+    found = unreferenced_definitions(package_trees())
+    unlisted = sorted(found - OUTSIDE_CALLERS.keys())
+    assert not unlisted, f"read by no code under src/ (delete, or allowlist with the outside caller): {unlisted}"
+    stale = sorted(OUTSIDE_CALLERS.keys() - found)
+    assert not stale, f"now read under src/, so no longer allowlisted: {stale}"
+
+
+@pytest.mark.parametrize(
+    "qualname, caller", [(name, caller) for name, callers in OUTSIDE_CALLERS.items() for caller in callers]
+)
+def test_allowlisted_caller_uses_the_definition(qualname, caller):
+    assert references(parse(ROOT / caller))[qualname.rsplit(".", 1)[-1]], f"{caller} no longer uses {qualname}"
+
+
+def test_src_imports_only_the_standard_library():
+    """`dependencies = []` in pyproject.toml holds: every absolute import
+    names a standard-library module or the package itself."""
+    allowed = sys.stdlib_module_names | {"metasched"}
+    outside = sorted(
+        f"{module}: {name}"
+        for module, tree in package_trees().items()
+        for name in imported_modules(tree)
+        if not name.startswith(".") and name.split(".")[0] not in allowed
+    )
+    assert not outside

@@ -90,7 +90,7 @@ class TestParseTctp:
     def test_dependencies(self):
         inst = parse_tctp_instance(TABLE2_TEXT, indirect_cost_override=0)
         assert inst.network.predecessors[18] == {16, 17}
-        assert inst.n_activities == 18
+        assert len(inst.network.ids) == 18
 
     def test_indirect_cost_required(self):
         with pytest.raises(InstanceError, match="indirect cost required"):

@@ -15,7 +15,6 @@ from metasched.rcpsp import (
     SchedulingError,
     check_schedule,
     constrained_critical,
-    is_precedence_feasible,
     neighbor_swap,
     random_activity_list,
     repair_precedence,
@@ -24,7 +23,7 @@ from metasched.rcpsp import (
     swappable,
 )
 
-from conftest import dags, random_dag
+from conftest import dags, is_precedence_feasible, random_dag
 
 # Ids sorted by ascending total float on the bundled network, then repaired
 # into a precedence-feasible list (the raw float ordering puts 17 before 3).

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metasched.problems import neighbor_mode_change, rcpsp_problem, tctp_problem
-from metasched.rcpsp import is_precedence_feasible, neighbor_swap, order_crossover, repair_precedence
+from metasched.rcpsp import neighbor_swap, order_crossover, repair_precedence
 from metasched.search import (
     GaConfig,
     SaConfig,
@@ -17,6 +17,8 @@ from metasched.search import (
     run_ts,
     sa_accept_probability,
 )
+
+from conftest import is_precedence_feasible
 
 RUNNERS = {
     "sa": (run_sa, SaConfig),

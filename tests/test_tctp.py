@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from metasched.oracle import longest_path_makespan
 from metasched.problems import tctp_problem
-from metasched.tctp import ParetoArchive, ParetoPoint, archive_insert, dominates, min_direct_cost
+from metasched.tctp import ParetoArchive, ParetoPoint, archive_insert, dominates
 
 # Per-option-index (duration, direct cost) totals when every activity uses the
 # same option, for the bundled 18-activity instance.
@@ -25,15 +25,19 @@ class TestEvaluate:
         evaluate = tctp_problem(table2).evaluate
         for idx, (duration, direct) in UNIFORM_TOTALS.items():
             # The indirect cost is zero here, so the total is the direct cost.
-            assert evaluate((idx,) * table2.n_activities) == (direct, duration, direct), f"option {idx}"
+            assert evaluate((idx,) * len(table2.network.ids)) == (direct, duration, direct), f"option {idx}"
 
     def test_indirect_cost_enters_total(self, table2):
         priced = replace(table2, indirect_cost_per_day=230)
-        total, _, _ = tctp_problem(priced).evaluate((1,) * priced.n_activities)
+        total, _, _ = tctp_problem(priced).evaluate((1,) * len(priced.network.ids))
         assert total == 100 * 230 + 169820
 
     def test_min_direct_cost(self, table2):
-        assert min_direct_cost(table2) == 99740
+        """The mode vector of each activity's cheapest option costs the sum of
+        the cheapest options' costs."""
+        options = [table2.options[aid] for aid in table2.network.ids]
+        cheapest = tuple(1 + min(range(len(opts)), key=lambda k: opts[k].direct_cost) for opts in options)
+        assert tctp_problem(table2).evaluate(cheapest)[2] == 99740
 
     @pytest.mark.parametrize("indirect", [0, 230, 10**6])
     def test_search_evaluator_agrees(self, table2, indirect):
