@@ -104,12 +104,15 @@ def algorithm_configs(sections, overrides: dict[str, dict] | None = None) -> dic
     """SA, TS and GA configs from a JSON object of per-algorithm sections,
     each section's keys updated by `overrides[name]`.
 
-    Raises `InstanceError` when `sections` or a section is not an object, or
-    a section names a key its config does not have or gives a value of a
-    type its field does not admit.
+    Raises `InstanceError` when `sections` or a section is not an object,
+    `sections` has a key other than sa/ts/ga, or a section names a key its
+    config does not have or gives a value of a type its field does not admit.
     """
     if not isinstance(sections, dict):
         raise InstanceError("algorithm configs must be an object with 'sa'/'ts'/'ga' sections")
+    unknown = sorted(set(sections) - ALGORITHMS.keys())
+    if unknown:
+        raise InstanceError(f"unknown algorithm config sections {unknown}; expected 'sa', 'ts' or 'ga'")
     configs = {}
     for name, (config_type, _) in ALGORITHMS.items():
         section = sections.get(name, {})

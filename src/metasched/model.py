@@ -70,14 +70,6 @@ class ProjectNetwork:
         return tuple(a.id for a in self.activities)
 
     @cached_property
-    def _duration_map(self) -> dict[int, int]:
-        return {a.id: a.duration for a in self.activities}
-
-    @cached_property
-    def _demand_map(self) -> dict[int, int]:
-        return {a.id: a.resource_demand for a in self.activities}
-
-    @cached_property
     def compiled(self) -> CompiledNetwork:
         """The dense-index view every graph walk reads, built on first use."""
         return CompiledNetwork.build(self)
@@ -96,7 +88,8 @@ class CompiledNetwork:
     `order` holds the indices level by level (an activity's level is the
     length of the longest predecessor chain ending at it), each level in
     ascending id order. `preds`/`succs` hold index tuples in ascending index
-    order, and `durations` the activities' own durations.
+    order, `durations` the activities' own durations and `demands` their
+    resource demands.
     """
 
     ids: tuple[int, ...]
@@ -105,6 +98,7 @@ class CompiledNetwork:
     preds: tuple[tuple[int, ...], ...]
     succs: tuple[tuple[int, ...], ...]
     durations: tuple[int, ...]
+    demands: tuple[int, ...]
 
     @classmethod
     def build(cls, net: ProjectNetwork) -> CompiledNetwork:
@@ -154,6 +148,7 @@ class CompiledNetwork:
             preds=tuple(preds),
             succs=tuple(map(tuple, succs)),
             durations=tuple(a.duration for a in net.activities),
+            demands=tuple(a.resource_demand for a in net.activities),
         )
 
     def early_finish(self, durations) -> list[int]:

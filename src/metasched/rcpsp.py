@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from itertools import accumulate
 from math import inf
 
-from .model import ProjectNetwork
+from .model import CompiledNetwork, ProjectNetwork
 
 
 class SchedulingError(ValueError):
@@ -67,32 +67,43 @@ def order_crossover(parent1: tuple, parent2: tuple, cut1: int, cut2: int) -> tup
     n = len(parent1)
     if not 0 <= cut1 < cut2 <= n:
         raise ValueError(f"invalid cuts ({cut1}, {cut2}) for length {n}")
-    if set(parent1) != set(parent2) or len(set(parent1)) != n:
+    ids = set(parent1)
+    if len(ids) != n or len(parent2) != n or ids != set(parent2):
         raise ValueError("parents must be permutations of the same id set")
     segment = set(parent1[cut1:cut2])
-    filler = iter(x for x in parent2 if x not in segment)
-    return tuple(parent1[i] if cut1 <= i < cut2 else next(filler) for i in range(n))
+    filler = [x for x in parent2 if x not in segment]
+    return (*filler[:cut1], *parent1[cut1:cut2], *filler[cut1:])
 
 
 def repair_precedence(net: ProjectNetwork, order: tuple) -> tuple:
     """Stable topological reinsertion of a permutation of the network's ids:
-    among ready activities, always emit the one appearing earliest in `order`."""
+    among ready activities, always emit the one appearing earliest in `order`.
+
+    One scan emits each activity that is ready when reached. One passed over
+    waits until its last predecessor is emitted, then goes on a heap keyed by
+    its position, which is emptied before the scan moves on.
+    """
     view = net.compiled
     dense = [view.index[aid] for aid in order]
-    position = [0] * len(dense)
-    for pos, i in enumerate(dense):
-        position[i] = pos
     indegree = [len(ps) for ps in view.preds]
-    ready = [pos for pos, i in enumerate(dense) if indegree[i] == 0]  # ascending: a heap
+    held = [-1] * len(indegree)  # the position of each activity passed over
+    waiting: list[int] = []
     succs = view.succs
     repaired: list = []
-    while ready:
-        pos = heapq.heappop(ready)
-        repaired.append(order[pos])
-        for s in succs[dense[pos]]:
-            indegree[s] -= 1
-            if indegree[s] == 0:
-                heapq.heappush(ready, position[s])
+    for pos, i in enumerate(dense):
+        if indegree[i]:
+            held[i] = pos
+            continue
+        while True:
+            repaired.append(order[pos])
+            for s in succs[i]:
+                indegree[s] -= 1
+                if not indegree[s] and held[s] >= 0:
+                    heapq.heappush(waiting, held[s])
+            if not waiting:
+                break
+            pos = heapq.heappop(waiting)
+            i = dense[pos]
     return tuple(repaired)
 
 
@@ -126,6 +137,11 @@ def serial_sgs(net: ProjectNetwork, capacity: int, order: tuple[int, ...]) -> Sc
     respects predecessor finishes and keeps usage within capacity for the
     activity's whole (non-preemptive) duration.
 
+    The decode reads the compiled view's dense lists; finishes are kept by
+    index, -1 until placed, and the start-time dict is built once at the
+    end. An unknown id or a predecessor still at -1 raises `SchedulingError`
+    naming it; an activity left at -1 after the walk means a repeated id.
+
     When capacity binds (it is below the total demand), usage is kept as a
     piecewise-constant profile: sorted breakpoint `times` and the `loads`
     that hold from each breakpoint to the next, ending in a load-0 piece up
@@ -137,65 +153,66 @@ def serial_sgs(net: ProjectNetwork, capacity: int, order: tuple[int, ...]) -> Sc
     demand to the pieces in between, so the work per activity grows with
     the number of pieces, not with its duration.
     """
-    activities = net.activities
-    durations = net._duration_map
-    demand = net._demand_map
-    max_demand = max(demand.values(), default=0)
+    return _decode(net.compiled, capacity, order)
+
+
+def _decode(view: CompiledNetwork, capacity: int, order: tuple[int, ...]) -> Schedule:
+    """`serial_sgs` on a view, whose durations may differ from its network's."""
+    index, preds = view.index, view.preds
+    durations, demands = view.durations, view.demands
+    max_demand = max(demands, default=0)
     if capacity < max_demand:
         raise SchedulingError(
             f"capacity {capacity} below maximum activity demand {max_demand}"
         )
-    if len(order) != len(activities):
+    if len(order) != len(demands):
         raise SchedulingError(f"activity list is not a permutation of the network: {order}")
 
-    # Predecessor lookups double as the feasibility check: an unscheduled
-    # predecessor (or an unknown/duplicated id) surfaces as a KeyError.
-    preds = net.predecessors
-    binding = capacity < sum(demand.values())
+    binding = capacity < sum(demands)
     times: list[float] = [0, inf]
     loads = [0, 0]
-    finish: dict[int, int] = {}
-    start_times: dict[int, int] = {}
-    try:
-        for aid in order:
-            d = durations[aid]
-            dem = demand[aid]
-            t = 0
-            for p in preds.get(aid, ()):
-                f = finish[p]
-                if f > t:
-                    t = f
-            if binding and d > 0 and dem > 0:
-                # The load-0 piece before the sentinel always fits, because
-                # capacity covers every single demand.
-                room = capacity - dem
-                k = bisect_right(times, t) - 1  # the piece holding t
-                j, end = k, t + d
-                while times[j] < end:
-                    j += 1
-                    if loads[j - 1] > room:
-                        t, k, end = times[j], j, times[j] + d
-                # Pieces k..j-1 overlap [t, end); split at t and at end.
-                if times[k] < t:
-                    k += 1
-                    j += 1
-                    times.insert(k, t)
-                    loads.insert(k, loads[k - 1])
-                if times[j] > end:
-                    times.insert(j, end)
-                    loads.insert(j, loads[j - 1])
-                for i in range(k, j):
-                    loads[i] += dem
-            start_times[aid] = t
-            finish[aid] = t + d
-    except KeyError as exc:
-        raise SchedulingError(
-            f"activity list is not precedence-feasible: {order} (at {exc})"
-        ) from exc
-    if len(start_times) != len(activities):
+    finish = [-1] * len(demands)
+    starts: list[int] = []
+    for aid in order:
+        try:
+            i = index[aid]
+        except KeyError:
+            raise SchedulingError(f"activity list is not precedence-feasible: {order} (at {aid!r})") from None
+        d = durations[i]
+        dem = demands[i]
+        t = 0
+        for p in preds[i]:
+            f = finish[p]
+            if f > t:
+                t = f
+            elif f < 0:
+                raise SchedulingError(f"activity list is not precedence-feasible: {order} (at {view.ids[p]})")
+        if binding and d > 0 and dem > 0:
+            # The load-0 piece before the sentinel always fits, because
+            # capacity covers every single demand.
+            room = capacity - dem
+            k = bisect_right(times, t) - 1  # the piece holding t
+            j, end = k, t + d
+            while times[j] < end:
+                j += 1
+                if loads[j - 1] > room:
+                    t, k, end = times[j], j, times[j] + d
+            # Pieces k..j-1 overlap [t, end); split at t and at end.
+            if times[k] < t:
+                k += 1
+                j += 1
+                times.insert(k, t)
+                loads.insert(k, loads[k - 1])
+            if times[j] > end:
+                times.insert(j, end)
+                loads.insert(j, loads[j - 1])
+            for u in range(k, j):
+                loads[u] += dem
+        starts.append(t)
+        finish[i] = t + d
+    if -1 in finish:
         raise SchedulingError(f"activity list repeats ids: {order}")
-    makespan = max(finish.values(), default=0)
-    return Schedule(start_times=start_times, makespan=makespan)
+    return Schedule(start_times=dict(zip(order, starts)), makespan=max(finish, default=0))
 
 
 def resource_profile(net: ProjectNetwork, schedule: Schedule) -> ResourceProfile:
@@ -213,22 +230,20 @@ def resource_profile(net: ProjectNetwork, schedule: Schedule) -> ResourceProfile
 
 def check_schedule(net: ProjectNetwork, schedule: Schedule, capacity: int) -> list[str]:
     """Audit precedence and capacity invariants; empty report means feasible."""
-    durations = net._duration_map
-    report: list[str] = []
-    for aid in net.ids:
-        if aid not in schedule.start_times:
-            report.append(f"activity {aid} is unscheduled")
+    view = net.compiled
+    ids, starts = view.ids, schedule.start_times
+    report = [f"activity {aid} is unscheduled" for aid in ids if aid not in starts]
     if report:
         return report
-    for aid in net.ids:
-        for p in net.predecessors.get(aid, ()):
-            if schedule.start_times[aid] < schedule.start_times[p] + durations[p]:
+    finish = [starts[aid] + d for aid, d in zip(ids, view.durations)]
+    for aid, ps in zip(ids, view.preds):
+        for p in ps:
+            if starts[aid] < finish[p]:
                 report.append(
-                    f"activity {aid} starts at {schedule.start_times[aid]} before "
-                    f"predecessor {p} finishes at {schedule.start_times[p] + durations[p]}"
+                    f"activity {aid} starts at {starts[aid]} before "
+                    f"predecessor {ids[p]} finishes at {finish[p]}"
                 )
-    finish = {aid: schedule.start_times[aid] + durations[aid] for aid in net.ids}
-    actual_makespan = max(finish.values(), default=0)
+    actual_makespan = max(finish, default=0)
     if actual_makespan != schedule.makespan:
         report.append(
             f"recorded makespan {schedule.makespan} != actual {actual_makespan}"
@@ -249,10 +264,12 @@ def constrained_critical(
     schedules: re-decode the same list with one activity's duration + 1 and
     see whether the makespan grows.
     """
-    base = serial_sgs(net, capacity, order).makespan
+    view = net.compiled
+    base = _decode(view, capacity, order).makespan
+    durations = view.durations
     critical = set()
-    for a in net.activities:
-        longer = tuple(replace(b, duration=b.duration + 1) if b is a else b for b in net.activities)
-        if serial_sgs(replace(net, activities=longer), capacity, order).makespan > base:
-            critical.add(a.id)
+    for i, aid in enumerate(view.ids):
+        longer = (*durations[:i], durations[i] + 1, *durations[i + 1:])
+        if _decode(replace(view, durations=longer), capacity, order).makespan > base:
+            critical.add(aid)
     return frozenset(critical)

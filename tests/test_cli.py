@@ -235,6 +235,17 @@ class TestConfigResolution:
         assert code == 1
         assert err.startswith("error:") and "bogus" in err
 
+    def test_unknown_config_section_is_domain_error(self, capsys, tmp_path):
+        # A misspelt section would otherwise be read by no algorithm.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"GA": {"population_size": 4}, "ga": {}}))
+        code, _, err = run_cli(
+            capsys, "tctp", "--instance", "table2", "--indirect-cost", "230",
+            "--algo", "ga", "--seed", "4", "--config", str(config),
+        )
+        assert code == 1
+        assert err.startswith("error: unknown algorithm config sections ['GA']")
+
     def test_config_file_budget_applies_without_max_evals(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"ga": {"max_evaluations": 50}}))
@@ -399,6 +410,14 @@ class TestBenchCommand:
             ),
             (
                 {
+                    "problem": {"kind": "rcpsp", "instance": "table1", "capacity": 7},
+                    "seeds": [1],
+                    "configs": {"GA": {"population_size": 4}, "hc": 5},
+                },
+                "unknown algorithm config sections ['GA', 'hc']",
+            ),
+            (
+                {
                     "problem": {"kind": "tctp", "instance": "table2", "indirect_cost": 230},
                     "seeds": [1],
                     "max_evaluations": 30,
@@ -468,7 +487,8 @@ class TestBenchCommand:
             ),
         ],
         ids=[
-            "no-problem", "no-instance", "no-kind", "unknown-config-key", "record-moves", "config-budget",
+            "no-problem", "no-instance", "no-kind", "unknown-config-key", "record-moves", "unknown-config-section",
+            "config-budget",
             "runs-above-bound", "not-an-object",
             "seeds-not-a-list", "capacity-not-an-int", "indirect-cost-not-an-int",
             "instance-not-a-string", "algorithm-not-a-name", "repeated-algorithm", "repeated-seed",

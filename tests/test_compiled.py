@@ -2,9 +2,10 @@
 
 The references below are copies of the set-scanning implementations that the
 compiled view replaced: a level-by-level topological sort, a random activity
-list that rescans every remaining activity per pick, and a precedence repair
-over id-keyed dictionaries. Seeded runs must not move, so the view has to
-reproduce them exactly, including every `rng` draw.
+list that rescans every remaining activity per pick, a precedence repair over
+id-keyed dictionaries, and an order crossover that fills one position at a
+time. Seeded runs must not move, so the view has to reproduce them exactly,
+including every `rng` draw.
 """
 
 import heapq
@@ -25,7 +26,7 @@ from metasched.model import (
 )
 from metasched.oracle import longest_path_makespan
 from metasched.problems import rcpsp_problem, tctp_problem
-from metasched.rcpsp import random_activity_list, repair_precedence
+from metasched.rcpsp import order_crossover, random_activity_list, repair_precedence
 
 from conftest import dags
 
@@ -80,6 +81,12 @@ def reference_repair_precedence(net, order):
     return tuple(repaired)
 
 
+def reference_order_crossover(parent1, parent2, cut1, cut2):
+    segment = set(parent1[cut1:cut2])
+    filler = iter(x for x in parent2 if x not in segment)
+    return tuple(parent1[i] if cut1 <= i < cut2 else next(filler) for i in range(len(parent1)))
+
+
 PROPERTY = settings(max_examples=150, deadline=None)
 
 
@@ -115,6 +122,30 @@ def test_repair_precedence_matches_reference(net, seed):
     random.Random(seed).shuffle(order)
     order = tuple(order)
     assert repair_precedence(net, order) == reference_repair_precedence(net, order)
+
+
+@PROPERTY
+@given(dags(), st.integers(0, 2**32 - 1))
+def test_repair_precedence_on_search_lists(net, seed):
+    """A feasible list comes back unchanged, and a crossover child of two
+    such lists, mostly feasible already, is repaired as the reference does."""
+    rng = random.Random(seed)
+    order = random_activity_list(net, rng)
+    assert repair_precedence(net, order) == order
+    cut1 = rng.randrange(len(order))
+    child = order_crossover(order, random_activity_list(net, rng), cut1, rng.randrange(cut1 + 1, len(order) + 1))
+    assert repair_precedence(net, child) == reference_repair_precedence(net, child)
+
+
+@PROPERTY
+@given(st.lists(st.integers(), min_size=1, max_size=40, unique=True), st.data())
+def test_order_crossover_matches_reference_at_every_cut(ids, data):
+    parent1 = tuple(data.draw(st.permutations(ids)))
+    parent2 = tuple(data.draw(st.permutations(ids)))
+    for cut1 in range(len(ids)):
+        for cut2 in range(cut1 + 1, len(ids) + 1):
+            expected = reference_order_crossover(parent1, parent2, cut1, cut2)
+            assert order_crossover(parent1, parent2, cut1, cut2) == expected, (cut1, cut2)
 
 
 def _with_back_edge(net, rng):
@@ -156,7 +187,7 @@ def test_back_edge_makes_every_consumer_raise(net, seed):
 
 def test_view_indexes_activities_in_network_order():
     net = ProjectNetwork(
-        activities=(Activity(30, 2), Activity(10, 3), Activity(20, 4)),
+        activities=(Activity(30, 2, 5), Activity(10, 3, 0), Activity(20, 4)),
         predecessors={30: frozenset({10, 20}), 10: frozenset(), 20: frozenset({10})},
     )
     view = net.compiled
@@ -166,6 +197,7 @@ def test_view_indexes_activities_in_network_order():
     assert view.preds == ((1, 2), (), (1,))
     assert view.succs == ((), (0, 2), (0,))
     assert view.durations == (2, 3, 4)
+    assert view.demands == (5, 0, 1)
     assert net.compiled is view
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from metasched.cpm import compute_cpm
 from metasched.model import Activity, InstanceError, ProjectNetwork
+from metasched.oracle import oracle_serial_sgs
 from metasched.problems import rcpsp_problem
 from metasched.rcpsp import (
     Schedule,
@@ -131,6 +132,30 @@ def test_constrained_critical_unconstrained_matches_cpm(net):
         longer = tuple(replace(b, duration=b.duration + 1) if b is a else b for b in net.activities)
         moved = compute_cpm(replace(net, activities=longer)).makespan - cpm.makespan
         assert moved == (1 if a.id in cpm.critical else 0), a.id
+
+
+@settings(max_examples=150, deadline=None)
+@given(net=dags(), data=st.data())
+def test_constrained_critical_binding_matches_oracle_redecode(net, data):
+    """Under a capacity that binds, an activity is critical exactly when the
+    independent decoder, run on a copy of the network with that activity one
+    day longer, ends the project later."""
+    largest = max(a.resource_demand for a in net.activities)
+    capacity = data.draw(st.integers(largest, largest + 2))
+    order = random_activity_list(net, random.Random(data.draw(st.integers(0, 2**32 - 1))))
+
+    def oracle_makespan(activities):
+        starts = oracle_serial_sgs(replace(net, activities=activities), capacity, order)
+        return max(starts[a.id] + a.duration for a in activities)
+
+    base = oracle_makespan(net.activities)
+    expected = {
+        a.id
+        for a in net.activities
+        if oracle_makespan(tuple(replace(b, duration=b.duration + 1) if b is a else b for b in net.activities))
+        > base
+    }
+    assert constrained_critical(net, capacity, order) == expected
 
 
 def test_constrained_critical_nonempty_under_capacity(table1):

@@ -81,6 +81,8 @@ class TestOrderCrossover:
     def test_non_permutation_parents_rejected(self):
         with pytest.raises(ValueError, match="permutation"):
             order_crossover((1, 2, 3), (1, 2, 4), 0, 1)
+        with pytest.raises(ValueError, match="permutation"):
+            order_crossover((1, 2, 3), (1, 2, 3, 3), 0, 1)
 
 
 class TestRepairPrecedence:

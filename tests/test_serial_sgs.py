@@ -7,13 +7,15 @@ every decode the library makes can be checked against it.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metasched.model import Activity, ProjectNetwork
 from metasched.oracle import oracle_serial_sgs
-from metasched.rcpsp import check_schedule, random_activity_list, serial_sgs
+from metasched.rcpsp import SchedulingError, check_schedule, random_activity_list, serial_sgs
 
-from conftest import dags
+from conftest import dags, is_precedence_feasible
 
 PROPERTY = settings(max_examples=300, deadline=None)
 
@@ -38,3 +40,73 @@ def test_start_times_match_oracle(case):
     schedule = serial_sgs(net, capacity, order)
     assert schedule.start_times == oracle_serial_sgs(net, capacity, order)
     assert check_schedule(net, schedule, capacity) == []
+
+
+@st.composite
+def activity_lists(draw):
+    """A network, a capacity that covers every demand, and a list that is
+    a feasible order or a shuffle of the ids, then edited up to three times
+    to repeat an id, add an unknown one, drop or append an entry, or swap
+    two entries."""
+    net = draw(dags())
+    if draw(st.booleans()):
+        order = list(random_activity_list(net, random.Random(draw(st.integers(0, 2**32 - 1)))))
+    else:
+        order = list(draw(st.permutations(net.ids)))
+    ids = st.sampled_from(net.ids)
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["repeat", "unknown", "drop", "append", "swap"]))
+        at = draw(st.integers(0, max(len(order) - 1, 0)))
+        if edit == "repeat" and order:
+            order[at] = draw(ids)
+        elif edit == "unknown" and order:
+            order[at] = draw(st.integers(-2, 10_002))  # ids are drawn from 1..10,000
+        elif edit == "drop" and order:
+            del order[at]
+        elif edit == "append":
+            order.insert(at, draw(ids | st.integers(-2, 10_002)))
+        elif edit == "swap" and order:
+            other = draw(st.integers(0, len(order) - 1))
+            order[at], order[other] = order[other], order[at]
+    demands = [a.resource_demand for a in net.activities]
+    capacity = draw(st.integers(max(demands), sum(demands) + 1))
+    return net, capacity, tuple(order)
+
+
+@PROPERTY
+@given(activity_lists())
+def test_malformed_lists_raise_scheduling_error(case):
+    """A feasible list decodes to the oracle's starts; any other list raises
+    `SchedulingError`, never a `KeyError`, `IndexError` or `TypeError`."""
+    net, capacity, order = case
+    if is_precedence_feasible(net, order):
+        assert serial_sgs(net, capacity, order).start_times == oracle_serial_sgs(net, capacity, order)
+    else:
+        with pytest.raises(SchedulingError):
+            serial_sgs(net, capacity, order)
+
+
+# 1 -> 2 -> 3, with activity 2 the largest demand.
+CHAIN = ProjectNetwork(
+    activities=(Activity(1, 2, 1), Activity(2, 3, 2), Activity(3, 1, 1)),
+    predecessors={2: frozenset({1}), 3: frozenset({2})},
+)
+
+
+@pytest.mark.parametrize(
+    "capacity, order, message",
+    [
+        (1, (1, 2, 3), "capacity 1 below maximum activity demand 2"),
+        (2, (1, 2), "activity list is not a permutation of the network: (1, 2)"),
+        (2, (2, 1, 3), "activity list is not precedence-feasible: (2, 1, 3) (at 1)"),
+        (2, (1, 9, 2), "activity list is not precedence-feasible: (1, 9, 2) (at 9)"),
+        (2, (1, 1, 2), "activity list repeats ids: (1, 1, 2)"),
+        # The unscheduled predecessor of 3 comes before the unknown id 9.
+        (2, (1, 3, 9), "activity list is not precedence-feasible: (1, 3, 9) (at 2)"),
+    ],
+    ids=["capacity", "length", "unscheduled-predecessor", "unknown-id", "repeat", "first-fault-named"],
+)
+def test_rejection_messages(capacity, order, message):
+    with pytest.raises(SchedulingError) as info:
+        serial_sgs(CHAIN, capacity, order)
+    assert str(info.value) == message
