@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 from .instances import load_network, load_tctp
@@ -145,24 +145,25 @@ def _admits(value, *types) -> bool:
 
 @dataclass(frozen=True)
 class AlgorithmSummary:
+    """One algorithm's `summary.csv` row and `report.json` summary entry. The
+    first three values are its lowest-fitness run's (the first in seed order
+    on a tie); the averages cover all its runs."""
+
     algorithm: str
-    min_duration: int
-    min_cost: int
-    best_run_evaluations: int
+    best_run_duration: int
+    min_fitness: int
     best_run_iterations: int
     avg_duration: float
-    avg_cost: float
+    avg_fitness: float
     avg_iterations: float
     success_pct: float
-    runs_within_one_pct: float  # share of runs within 1% of the best pooled cost
 
 
 @dataclass(frozen=True)
 class ExperimentReport:
     spec: ExperimentSpec
     summaries: tuple[AlgorithmSummary, ...]
-    pooled_front: tuple[tuple[int, int, tuple[str, ...], tuple], ...]
-    # (duration, cost, contributing algorithms, candidate), duration ascending
+    pooled_front: tuple[tuple[int, int, tuple[str, ...], tuple], ...]  # rows of `pooled_front`
     runs: tuple[RunResult, ...]
 
 
@@ -184,46 +185,33 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         for seed in spec.seeds:
             runs.append(run(problem, config, seed))
 
-    contributors, candidates = pooled_front(runs)
-    pct = success_percentage(contributors)
-    best_cost_overall = min(run.best_fitness for run in runs)
-
+    front = pooled_front(runs)
+    pct = success_percentage(front)
     summaries = []
     for algorithm in spec.algorithms:
         algo_runs = [r for r in runs if r.algorithm == algorithm]
-        costs = [r.best_fitness for r in algo_runs]
         best_run = min(algo_runs, key=lambda r: r.best_fitness)
-        within = sum(1 for c in costs if c <= best_cost_overall * 1.01) / len(algo_runs)
         summaries.append(
             AlgorithmSummary(
                 algorithm=algorithm,
-                min_duration=min(r.best_duration for r in algo_runs),
-                min_cost=int(min(costs)),
-                best_run_evaluations=best_run.evaluations_used,
+                best_run_duration=best_run.best_duration,
+                min_fitness=int(best_run.best_fitness),
                 best_run_iterations=best_run.native_iterations,
                 avg_duration=sum(r.best_duration for r in algo_runs) / len(algo_runs),
-                avg_cost=sum(costs) / len(algo_runs),
+                avg_fitness=sum(r.best_fitness for r in algo_runs) / len(algo_runs),
                 avg_iterations=sum(r.native_iterations for r in algo_runs) / len(algo_runs),
                 success_pct=pct.get(algorithm, 0.0),
-                runs_within_one_pct=within,
             )
         )
-    front = tuple(
-        (point[0], point[1], tuple(sorted(contributors[point])), candidates[point])
-        for point in sorted(contributors)
-    )
-    return ExperimentReport(
-        spec=spec, summaries=tuple(summaries), pooled_front=front, runs=tuple(runs)
-    )
+    return ExperimentReport(spec=spec, summaries=tuple(summaries), pooled_front=front, runs=tuple(runs))
 
 
-def pooled_front(
-    runs: list[RunResult],
-) -> tuple[dict[tuple[int, int], set[str]], dict[tuple[int, int], tuple]]:
+def pooled_front(runs: list[RunResult]) -> tuple[tuple[int, int, tuple[str, ...], tuple], ...]:
     """Merge run archives, in run order, into one non-dominated front.
 
-    Returns (point -> every algorithm whose run archive holds the point,
-    point -> the candidate of the first run that holds it).
+    Returns one (duration, cost, algorithms, candidate) row per point,
+    duration ascending: `algorithms` names, sorted, every algorithm whose run
+    archive holds the point, and `candidate` is the first such run's.
     """
     front = ParetoArchive()
     for run in runs:
@@ -234,18 +222,15 @@ def pooled_front(
         for p in run.archive.points:
             if p.objectives in contributors:
                 contributors[p.objectives].add(run.algorithm)
-    return contributors, {p.objectives: p.modes for p in front.points}
+    return tuple((*p.objectives, tuple(sorted(contributors[p.objectives])), p.modes) for p in front.points)
 
 
-def success_percentage(contributors: dict[tuple[int, int], set[str]]) -> dict[str, float]:
-    """Share of pooled-front points contributed by each algorithm; points
+def success_percentage(front) -> dict[str, float]:
+    """Share of `pooled_front` rows contributed by each algorithm; points
     attained by several algorithms credit each, then shares renormalize to 100."""
-    if not contributors:
+    if not front:
         raise InstanceError("empty pooled front")
-    credits: dict[str, int] = {}
-    for algos in contributors.values():
-        for algo in algos:
-            credits[algo] = credits.get(algo, 0) + 1
+    credits = Counter(algo for _, _, algorithms, _ in front for algo in algorithms)
     total = sum(credits.values())
     return {algo: 100.0 * count / total for algo, count in credits.items()}
 
@@ -261,27 +246,24 @@ def csv_text(header: str, rows) -> str:
 
 def export_front_csv(report: ExperimentReport, destination: str | Path) -> None:
     """Plot-ready pooled front, one row per (algorithm, point)."""
-    rows = sorted(
-        (duration, cost, algorithm, "-".join(map(str, candidate)))
-        for duration, cost, algorithms, candidate in report.pooled_front
-        for algorithm in algorithms
-    )
     write_csv(
         destination,
         "algorithm,duration,cost,modes_or_list",
-        ((algorithm, duration, cost, encoded) for duration, cost, algorithm, encoded in rows),
+        (
+            (algorithm, duration, cost, "-".join(map(str, candidate)))
+            for duration, cost, algorithms, candidate in report.pooled_front
+            for algorithm in algorithms
+        ),
     )
 
 
 def export_summary_csv(report: ExperimentReport, destination: str | Path) -> None:
+    """One row per `AlgorithmSummary`, its field names as the header and its
+    floats to two places."""
     write_csv(
         destination,
-        "algorithm,min_duration,min_fitness,best_run_iterations,avg_duration,avg_fitness,avg_iterations,success_pct",
-        (
-            (s.algorithm, s.min_duration, s.min_cost, s.best_run_iterations)
-            + tuple(f"{x:.2f}" for x in (s.avg_duration, s.avg_cost, s.avg_iterations, s.success_pct))
-            for s in report.summaries
-        ),
+        ",".join(f.name for f in fields(AlgorithmSummary)),
+        ((f"{x:.2f}" if isinstance(x, float) else x for x in astuple(s)) for s in report.summaries),
     )
 
 

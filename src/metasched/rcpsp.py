@@ -113,15 +113,13 @@ def swappable(net: ProjectNetwork, order: tuple | list, i: int) -> bool:
     return order[i] not in net.predecessors.get(order[i + 1], ())
 
 
-def neighbor_swap(
-    net: ProjectNetwork, order: tuple, rng: random.Random, max_tries: int = 32
-) -> tuple:
+def neighbor_swap(net: ProjectNetwork, order: tuple, rng: random.Random) -> tuple:
     """Swap a uniformly chosen adjacent pair whose swap keeps the list
-    precedence-feasible; unchanged if no such pair is found within the bound."""
+    precedence-feasible; unchanged if 32 draws find no such pair."""
     n = len(order)
     if n < 2:
         return order
-    for _ in range(max_tries):
+    for _ in range(32):
         i = rng.randrange(n - 1)
         if swappable(net, order, i):
             swapped = list(order)

@@ -28,8 +28,8 @@ class SaConfig:
     max_evaluations: int = 20_000
 
     def __post_init__(self):
-        if self.initial_temperature is not None and self.initial_temperature <= 0:
-            raise ValueError("initial_temperature must be positive")
+        if self.initial_temperature is not None and not 0 < self.initial_temperature < math.inf:
+            raise ValueError("initial_temperature must be positive and finite")
         if not 0 < self.cooling_factor < 1:
             raise ValueError("cooling_factor must be in (0, 1)")
         if self.steps_per_temperature < 1 or self.max_evaluations < 1:
@@ -68,8 +68,8 @@ class GaConfig:
             raise ValueError("crossover_rate must be in [0, 1]")
         if self.mutation_rate is not None and not 0 <= self.mutation_rate <= 1:
             raise ValueError("mutation_rate must be in [0, 1]")
-        if self.tournament_size < 2:
-            raise ValueError("tournament_size must be >= 2")
+        if not 2 <= self.tournament_size <= self.population_size:
+            raise ValueError("tournament_size must be in [2, population_size]")
         if not 0 <= self.elitism_count < self.population_size:
             raise ValueError("elitism_count must be in [0, population_size)")
 
@@ -198,18 +198,12 @@ def run_sa(problem: SearchProblem, config: SaConfig, seed: int) -> RunResult:
 
 
 def _calibrate_temperature(
-    problem: SearchProblem,
-    tracker: _Tracker,
-    start: Candidate,
-    f_start: float,
-    rng: random.Random,
-    samples: int = 100,
-    target_acceptance: float = 0.8,
+    problem: SearchProblem, tracker: _Tracker, start: Candidate, f_start: float, rng: random.Random
 ) -> float:
-    """Pick a starting temperature that would accept ~80% of sampled
-    worsening moves from the initial candidate."""
+    """Pick a starting temperature that would accept ~80% of the worsening
+    moves among 100 sampled neighbours of the initial candidate."""
     worsening: list[float] = []
-    for _ in range(min(samples, tracker.remaining)):
+    for _ in range(min(100, tracker.remaining)):
         neighbor = problem.neighbor(start, rng)
         delta = tracker.evaluate(neighbor) - f_start
         if delta > 0:
@@ -217,7 +211,7 @@ def _calibrate_temperature(
     if not worsening:
         return 1.0
     mean_delta = sum(worsening) / len(worsening)
-    return max(mean_delta / -math.log(target_acceptance), 1e-9)
+    return max(mean_delta / -math.log(0.8), 1e-9)
 
 
 def run_ts(problem: SearchProblem, config: TsConfig, seed: int) -> RunResult:
@@ -252,22 +246,15 @@ def run_ts(problem: SearchProblem, config: TsConfig, seed: int) -> RunResult:
         if tracker.best_fitness < best_before:
             last_improvement = iteration
         elif iteration - last_improvement >= config.stagnation_limit:
-            current = _diversify(problem, tracker, current, frequency, rng)
+            current = _diversify(problem, tracker, current, frequency)
             last_improvement = iteration
     return tracker.result("ts", seed, native_iterations=iteration)
 
 
-def _diversify(
-    problem: SearchProblem,
-    tracker: _Tracker,
-    current: Candidate,
-    frequency: Counter,
-    rng: random.Random,
-    kick_moves: int = 3,
-) -> Candidate:
-    """Frequency-based kick: walk along the least-used move attributes to push
-    the trajectory into rarely visited territory."""
-    for _ in range(kick_moves):
+def _diversify(problem: SearchProblem, tracker: _Tracker, current: Candidate, frequency: Counter) -> Candidate:
+    """Frequency-based kick: three moves along the least-used move attributes
+    push the trajectory into rarely visited territory."""
+    for _ in range(3):
         moves = problem.neighborhood(current)
         if not moves:
             break

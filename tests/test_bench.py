@@ -1,11 +1,12 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metasched.bench import (
+    AlgorithmSummary,
     ExperimentSpec,
     export_front_csv,
     export_summary_csv,
@@ -44,13 +45,11 @@ def _fake_run(algorithm, points, seed=0):
 class TestSuccessPercentage:
     def test_single_contributor_takes_all(self):
         runs = [_fake_run("sa", [(5, 10), (6, 8)]), _fake_run("ts", [(7, 20)])]
-        contributors, _ = pooled_front(runs)
-        pct = success_percentage(contributors)
-        assert pct == {"sa": 100.0}
+        assert success_percentage(pooled_front(runs)) == {"sa": 100.0}
 
     def test_even_split_on_shared_front(self):
         runs = [_fake_run("sa", [(5, 10)]), _fake_run("ts", [(6, 8)])]
-        pct = success_percentage(pooled_front(runs)[0])
+        pct = success_percentage(pooled_front(runs))
         assert pct == {"sa": 50.0, "ts": 50.0}
 
     def test_shared_point_credits_both(self):
@@ -59,27 +58,23 @@ class TestSuccessPercentage:
             _fake_run("ts", [(5, 10)]),
             _fake_run("ga", [(4, 12)]),
         ]
-        pct = success_percentage(pooled_front(runs)[0])
+        pct = success_percentage(pooled_front(runs))
         assert pct == {"sa": 50.0, "ts": 25.0, "ga": 25.0}
 
     def test_empty_front_rejected(self):
         with pytest.raises(InstanceError, match="empty"):
-            success_percentage({})
+            success_percentage(())
 
 
 class TestPooledFront:
     def test_dominated_points_dropped(self):
         runs = [_fake_run("sa", [(5, 10), (6, 12)]), _fake_run("ts", [(4, 9)])]
-        contributors, witness = pooled_front(runs)
-        assert set(contributors) == {(4, 9)}
-        assert witness[(4, 9)] == (4,)
+        assert pooled_front(runs) == ((4, 9, ("ts",), (4,)),)
 
     def test_cross_run_domination(self):
         # A point non-dominated within its own run can fall to another run's.
         runs = [_fake_run("sa", [(5, 10)]), _fake_run("ts", [(5, 9)])]
-        contributors, _ = pooled_front(runs)
-        assert set(contributors) == {(5, 9)}
-        assert contributors[(5, 9)] == {"ts"}
+        assert pooled_front(runs) == ((5, 9, ("ts",), (5,)),)
 
     @given(
         st.lists(
@@ -104,15 +99,16 @@ class TestPooledFront:
 
 def _pairwise_front(runs):
     """Reference for `pooled_front`: every attained point that no other
-    attained point dominates, with the first run's candidate as witness."""
+    attained point dominates, in (duration, cost) order, with the sorted
+    algorithms that attain it and the first run's candidate as witness."""
     attained, witness = {}, {}
     for run in runs:
         for p in run.archive.points:
             key = (p.duration, p.cost)
             attained.setdefault(key, set()).add(run.algorithm)
             witness.setdefault(key, p.modes)
-    front = {p for p in attained if not any(q[0] <= p[0] and q[1] <= p[1] and q != p for q in attained)}
-    return {p: attained[p] for p in front}, {p: witness[p] for p in front}
+    front = sorted(p for p in attained if not any(q[0] <= p[0] and q[1] <= p[1] and q != p for q in attained))
+    return tuple((*p, tuple(sorted(attained[p])), witness[p]) for p in front)
 
 
 class TestSpec:
@@ -217,7 +213,8 @@ class TestExports:
         assert json.loads((tmp_path / "report.json").read_text())["summaries"]
         summary = (tmp_path / "summary.csv").read_text().splitlines()
         assert summary[0] == (
-            "algorithm,min_duration,min_fitness,best_run_iterations,avg_duration,avg_fitness,avg_iterations,success_pct"
+            "algorithm,best_run_duration,min_fitness,best_run_iterations,avg_duration,avg_fitness,avg_iterations,"
+            "success_pct"
         )
         assert len(summary) == 4
         front = (tmp_path / "front.csv").read_text().splitlines()
@@ -237,3 +234,53 @@ class TestExports:
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         for line in lines[1:]:
             assert len(line.split(",")) == 8
+
+
+def test_summary_recomputes_from_runs(tmp_path):
+    """Every summary value is recomputed from the report's runs, on a spec
+    where GA's shortest run (seed 4, duration 122) is not its lowest-fitness
+    run (seed 5, duration 124); `report.json` and `summary.csv` name the same
+    fields, and `front.csv` is the pooled front flattened."""
+    spec = ExperimentSpec.from_json(
+        json.dumps(
+            {
+                "problem": {"kind": "tctp", "instance": "table2", "indirect_cost": 230},
+                "base_seed": 4,
+                "runs": 2,
+                "max_evaluations": 300,
+                "algorithms": ["ga", "sa"],
+                "configs": {"ga": {"population_size": 10}},
+            }
+        )
+    )
+    report = run_experiment(spec)
+    front = pooled_front(list(report.runs))
+    credits = {s.algorithm: sum(s.algorithm in algorithms for _, _, algorithms, _ in front) for s in report.summaries}
+    for summary in report.summaries:
+        runs = [r for r in report.runs if r.algorithm == summary.algorithm]
+        fitnesses = [r.best_fitness for r in runs]
+        best = runs[fitnesses.index(min(fitnesses))]
+        assert summary == AlgorithmSummary(
+            algorithm=summary.algorithm,
+            best_run_duration=best.best_duration,
+            min_fitness=min(fitnesses),
+            best_run_iterations=best.native_iterations,
+            avg_duration=sum(r.best_duration for r in runs) / len(runs),
+            avg_fitness=sum(fitnesses) / len(runs),
+            avg_iterations=sum(r.native_iterations for r in runs) / len(runs),
+            success_pct=100.0 * credits[summary.algorithm] / sum(credits.values()),
+        )
+    ga_durations = [r.best_duration for r in report.runs if r.algorithm == "ga"]
+    assert (report.summaries[0].best_run_duration, min(ga_durations)) == (124, 122)
+
+    write_report(report, tmp_path)
+    header = (tmp_path / "summary.csv").read_text().splitlines()[0].split(",")
+    assert header == [f.name for f in fields(AlgorithmSummary)]
+    for entry in json.loads((tmp_path / "report.json").read_text())["summaries"]:
+        assert sorted(entry) == sorted(header)
+    flattened = [
+        f"{algorithm},{duration},{cost},{'-'.join(map(str, candidate))}"
+        for duration, cost, algorithms, candidate in front
+        for algorithm in algorithms
+    ]
+    assert (tmp_path / "front.csv").read_text().splitlines()[1:] == flattened

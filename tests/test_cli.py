@@ -225,6 +225,19 @@ class TestConfigResolution:
         assert code == 1
         assert "tournament_size" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_finite_sa_temperature_is_domain_error(self, capsys, tmp_path, source, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sa": {"initial_temperature": float(value)}}))
+        where = ("--sa-initial-temp", value) if source == "flag" else ("--config", str(config))
+        code, _, err = run_cli(
+            capsys, "tctp", "--instance", "table2", "--indirect-cost", "230",
+            "--algo", "sa", "--seed", "4", "--max-evals", "10", *where,
+        )
+        assert code == 1
+        assert "initial_temperature must be positive and finite" in err
+
     def test_unknown_config_key_is_domain_error(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"ga": {"bogus": 1}}))

@@ -314,6 +314,10 @@ def test_ga_elites_survive(tctp230):
         (GaConfig, {"crossover_rate": 1.5}),
         (GaConfig, {"tournament_size": 1}),
         (GaConfig, {"elitism_count": 50}),
+        (SaConfig, {"initial_temperature": math.nan}),
+        (SaConfig, {"initial_temperature": math.inf}),
+        (GaConfig, {"population_size": 4, "tournament_size": 5}),
+        (GaConfig, {"population_size": 1, "elitism_count": 0}),
     ],
 )
 def test_config_validation(config_cls, kwargs):
