@@ -51,9 +51,11 @@ def compute_cpm(net: ProjectNetwork) -> CpmResult:
     makespan = max((ef for _, ef in earliest.values()), default=0)
     latest = backward_pass(net, makespan)
     rows = {}
+    critical = []
     for aid in net.ids:
         es, ef = earliest[aid]
         ls, lf = latest[aid]
         rows[aid] = CpmRow(es, ef, ls, lf, ls - es)
-    critical = frozenset(aid for aid, row in rows.items() if row.total_float == 0)
-    return CpmResult(rows=rows, makespan=makespan, critical=critical)
+        if ls == es:
+            critical.append(aid)
+    return CpmResult(rows=rows, makespan=makespan, critical=frozenset(critical))

@@ -46,7 +46,7 @@ class AoaArc:
             raise InstanceError(
                 f"activity {self.activity_id}: negative duration {self.duration}"
             )
-        if self.duration > 0 and self.start_node == self.end_node:
+        if self.start_node == self.end_node:
             raise InstanceError(
                 f"activity {self.activity_id}: self-loop at node {self.start_node}"
             )
@@ -102,26 +102,30 @@ class CompiledNetwork:
 
     @classmethod
     def build(cls, net: ProjectNetwork) -> CompiledNetwork:
-        """Kahn's source elimination in O(n + e), then one sort by (level, id).
+        """Kahn's source elimination in O(n + e), then stable sorts by id and
+        by level.
 
         Raises `InstanceError` on a duplicate id, a reference to an unknown
         activity, or a cycle; a cycle is reported with every activity the
         elimination could not reach.
         """
         ids = net.ids
-        index: dict[int, int] = {}
-        for i, aid in enumerate(ids):
-            if aid in index:
-                raise InstanceError(f"duplicate activity id {aid}")
-            index[aid] = i
+        index = dict(zip(ids, range(len(ids))))
+        if len(index) < len(ids):
+            seen = set()
+            for aid in ids:
+                if aid in seen:
+                    raise InstanceError(f"duplicate activity id {aid}")
+                seen.add(aid)
+        position, listed = index.__getitem__, net.predecessors.get
         preds = []
-        for aid in ids:
-            try:
-                preds.append(tuple(sorted(index[p] for p in net.predecessors.get(aid, ()))))
-            except KeyError as exc:
-                raise InstanceError(
-                    f"activity {aid} depends on nonexistent activity {exc.args[0]}"
-                ) from None
+        try:
+            for aid in ids:
+                preds.append(tuple(sorted(map(position, listed(aid, ())))))
+        except KeyError as exc:
+            raise InstanceError(
+                f"activity {aid} depends on nonexistent activity {exc.args[0]}"
+            ) from None
         succs: list[list[int]] = [[] for _ in ids]
         for i, ps in enumerate(preds):
             for p in ps:
@@ -140,7 +144,8 @@ class CompiledNetwork:
         if len(done) < len(ids):
             stuck = sorted(ids[i] for i, deg in enumerate(indegree) if deg)
             raise InstanceError(f"cycle among activities {stuck}")
-        done.sort(key=lambda i: (level[i], ids[i]))
+        done.sort(key=ids.__getitem__)
+        done.sort(key=level.__getitem__)  # stable: ties stay in id order
         return cls(
             ids=ids,
             index=index,
@@ -196,15 +201,14 @@ def derive_precedence_from_nodes(arcs: list[AoaArc] | tuple[AoaArc, ...]) -> Pro
     Activity j is a successor of activity i iff j starts at the node i ends
     at. The arc order is preserved in the resulting activity tuple.
     """
-    by_end: dict[int, set[int]] = {}
+    by_end: dict[int, list[int]] = {}
     for arc in arcs:
-        by_end.setdefault(arc.end_node, set()).add(arc.activity_id)
-    activities = tuple(
-        Activity(id=a.activity_id, duration=a.duration, resource_demand=a.demand) for a in arcs
-    )
-    predecessors = {
-        a.activity_id: frozenset(by_end.get(a.start_node, ())) for a in arcs
-    }
+        by_end.setdefault(arc.end_node, []).append(arc.activity_id)
+    activities = tuple(Activity(a.activity_id, a.duration, a.demand) for a in arcs)
+    # One set per event node, shared by every arc that starts there.
+    into = {node: frozenset(ending) for node, ending in by_end.items()}
+    no_predecessors = frozenset()
+    predecessors = {a.activity_id: into.get(a.start_node, no_predecessors) for a in arcs}
     net = ProjectNetwork(activities=activities, predecessors=predecessors)
     net.compiled  # raises on a duplicate id or a cycle the node structure induced
     return net
@@ -273,16 +277,25 @@ def parse_aoa_instance(document: str) -> tuple[AoaArc, ...]:
     records = data.get("arcs")
     if not isinstance(records, list) or not records:
         raise InstanceError("empty instance")
-    return tuple(
-        AoaArc(
-            activity_id=_int_field(rec, "id"),
-            start_node=_int_field(rec, "start"),
-            end_node=_int_field(rec, "end"),
-            duration=_int_field(rec, "duration"),
-            demand=_int_field(rec, "demand", default=1),
+    arcs = []
+    for rec in records:
+        if type(rec) is dict:  # the common record: five exact ints, so no bool
+            aid, start, end = rec.get("id"), rec.get("start"), rec.get("end")
+            duration, demand = rec.get("duration"), rec.get("demand", 1)
+            if type(aid) is type(start) is type(end) is type(duration) is type(demand) is int:
+                arcs.append(AoaArc(aid, start, end, duration, demand))
+                continue
+        # Anything else converts field by field and names the first bad one.
+        arcs.append(
+            AoaArc(
+                activity_id=_int_field(rec, "id"),
+                start_node=_int_field(rec, "start"),
+                end_node=_int_field(rec, "end"),
+                duration=_int_field(rec, "duration"),
+                demand=_int_field(rec, "demand", default=1),
+            )
         )
-        for rec in records
-    )
+    return tuple(arcs)
 
 
 def parse_tctp_instance(document: str | dict, indirect_cost_override: int | None = None) -> TctpInstance:

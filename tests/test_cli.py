@@ -3,6 +3,8 @@ import time
 from dataclasses import fields
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from metasched.bench import ALGORITHMS
 from metasched.cli import CONFIG_FLAGS, build_parser, main, resolve_configs
@@ -22,6 +24,27 @@ def usage_error(capsys, *argv):
         main(list(argv))
     assert exc.value.code == 2
     return capsys.readouterr().err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+ARC_KEYS = ("id", "start", "end", "duration", "demand")
+# Arcs of small ints, so that many documents get past the parser to the
+# network checks and to CPM, mixed with arcs of arbitrary fields and values.
+INT_ARCS = st.fixed_dictionaries(
+    {"id": st.integers(1, 40), "start": st.integers(0, 6), "end": st.integers(0, 6), "duration": st.integers(0, 9)},
+    optional={"demand": st.integers(0, 3)},
+)
+ANY_ARCS = INT_ARCS | st.fixed_dictionaries({}, optional=dict.fromkeys(ARC_KEYS, JSON_VALUES)) | JSON_VALUES
+AOA_DOCUMENTS = st.one_of(
+    st.fixed_dictionaries({"format": st.just("aoa-v1"), "arcs": st.lists(INT_ARCS, min_size=1, max_size=30)}),
+    st.fixed_dictionaries({"format": st.just("aoa-v1"), "arcs": st.lists(ANY_ARCS, max_size=30)}),
+    st.fixed_dictionaries({}, optional={"format": JSON_VALUES, "arcs": JSON_VALUES, "name": JSON_VALUES}),
+    JSON_VALUES,
+)
 
 
 class TestCpmCommand:
@@ -48,6 +71,26 @@ class TestCpmCommand:
         code, _, err = run_cli(capsys, "cpm", "--instance", "no-such-file.json")
         assert code == 1
         assert "error:" in err
+
+    def test_zero_duration_self_loop_is_domain_error(self, capsys, tmp_path):
+        arcs = [
+            {"id": 1, "start": 1, "end": 2, "duration": 4},
+            {"id": 2, "start": 2, "end": 2, "duration": 0},
+            {"id": 3, "start": 2, "end": 3, "duration": 5},
+        ]
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps({"format": "aoa-v1", "arcs": arcs}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "cpm", "--instance", str(path))
+        assert (code, out, err) == (1, "", "error: activity 2: self-loop at node 2\n")
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(AOA_DOCUMENTS)
+    def test_no_document_prints_a_traceback(self, capsys, tmp_path, document):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        code, _, err = run_cli(capsys, "cpm", "--instance", str(path))
+        assert code in (0, 1)
+        assert "Traceback" not in err
 
 
 class TestRcpspCommand:

@@ -9,7 +9,9 @@ outside it, so `oracle.py` shares nothing with it but the data model.
 `src/` holds only what a production path reads: every function, class and
 public method there is used by other code in the package, or is allowlisted
 with the files outside `src/` that call it. The package depends on nothing
-outside the standard library.
+outside the standard library, and its module-level imports of the standard
+library are pinned: each one is paid by every fresh interpreter that imports
+the package.
 """
 
 import ast
@@ -136,3 +138,34 @@ def test_src_imports_only_the_standard_library():
         if not name.startswith(".") and name.split(".")[0] not in allowed
     )
     assert not outside
+
+
+# Every standard-library module the package imports at module level, as
+# written. `import metasched.cli` pays for all of them in each fresh process.
+STDLIB_IMPORTS = {
+    "__future__", "argparse", "bisect", "collections", "dataclasses", "functools", "heapq", "importlib",
+    "itertools", "json", "math", "operator", "os", "pathlib", "random", "sys", "typing",
+}
+
+
+def module_level_imports(tree: ast.Module):
+    """The imports `tree` runs when it is imported: those outside function
+    and class bodies."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from imported_modules(node)
+
+
+def test_stdlib_imports_are_pinned():
+    found = {
+        name
+        for tree in package_trees().values()
+        for name in module_level_imports(tree)
+        if name.split(".")[0] in sys.stdlib_module_names
+    }
+    assert found == STDLIB_IMPORTS, (
+        f"module-level imports changed: added {sorted(found - STDLIB_IMPORTS)}, "
+        f"removed {sorted(STDLIB_IMPORTS - found)}. Each added module costs every fresh interpreter "
+        "that runs `import metasched.cli`, which is what the benchmark's cpm-n2000 setup_s times; "
+        "import it inside the function that needs it, or measure setup_s and update the pinned set"
+    )

@@ -6,6 +6,7 @@ oracle's longest path, over random networks whose ids are neither contiguous
 nor listed in topological order.
 """
 
+import json
 import random
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metasched.cpm import compute_cpm
-from metasched.model import Activity, ProjectNetwork
+from metasched.model import AOA_FORMAT, Activity, ProjectNetwork, derive_precedence_from_nodes, parse_aoa_instance
 from metasched.oracle import longest_path_makespan
 from metasched.rcpsp import serial_sgs
 
@@ -73,3 +74,38 @@ def test_isolated_empty_activity_changes_no_makespan(case, data):
     padded_schedule = serial_sgs(padded, capacity, (*order[:at], extra, *order[at:]))
     assert padded_schedule.start_times == {**schedule.start_times, extra: 0}
     assert padded_schedule.makespan == schedule.makespan
+
+
+@st.composite
+def aoa_documents(draw, max_arcs=40):
+    """Acyclic aoa-v1 documents: every arc runs from a lower to a higher
+    event node. Ids are unique and non-contiguous; durations may be 0."""
+    n = draw(st.integers(1, max_arcs))
+    nodes = draw(st.integers(2, max(2, n)))
+    ids = draw(st.lists(st.integers(1, 10_000), min_size=n, max_size=n, unique=True))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    arcs = []
+    for aid in ids:
+        start = rng.randrange(nodes - 1)
+        arcs.append(
+            {"id": aid, "start": start, "end": rng.randrange(start + 1, nodes),
+             "duration": rng.randint(0, 20), "demand": rng.randint(0, 3)}
+        )
+    return {"format": AOA_FORMAT, "arcs": arcs}
+
+
+def _analysis(document: dict):
+    net = derive_precedence_from_nodes(parse_aoa_instance(json.dumps(document)))
+    result = compute_cpm(net)
+    return result.rows, result.makespan, result.critical, net.topological_order(), longest_path_makespan(net)
+
+
+@PROPERTY
+@given(aoa_documents(), st.integers(0, 2**32 - 1))
+def test_arc_order_changes_no_analysis(document, seed):
+    """The arcs listed in another order: the same CPM rows, makespan,
+    critical set, topological order (level by level, ties by id) and
+    oracle longest path."""
+    arcs = list(document["arcs"])
+    random.Random(seed).shuffle(arcs)
+    assert _analysis({**document, "arcs": arcs}) == _analysis(document)

@@ -2,9 +2,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metasched.instances import read_bundled
 from metasched.model import (
+    AOA_FORMAT,
     Activity,
     AoaArc,
     InstanceError,
@@ -75,6 +78,93 @@ class TestParseAoa:
     def test_demand_defaults_to_one(self):
         arcs = parse_aoa_instance('{"format": "aoa-v1", "arcs": [{"id": 1, "start": 0, "end": 1, "duration": 2}]}')
         assert arcs[0].demand == 1
+
+    @pytest.mark.parametrize("duration", [0, 3])
+    def test_self_loop_rejected_at_any_duration(self, duration):
+        arcs = [
+            {"id": 1, "start": 1, "end": 2, "duration": 4},
+            {"id": 2, "start": 2, "end": 2, "duration": duration},
+            {"id": 3, "start": 2, "end": 3, "duration": 5},
+        ]
+        with pytest.raises(InstanceError) as exc:
+            parse_aoa_instance(json.dumps({"format": AOA_FORMAT, "arcs": arcs}))
+        assert str(exc.value) == "activity 2: self-loop at node 2"
+
+
+def _reference_arcs(records: list) -> tuple[AoaArc, ...]:
+    """The aoa-v1 record loop as it was before exact-int records took a
+    fast path: every field converted on its own, the first bad one named."""
+
+    def as_int(value, label):
+        if isinstance(value, bool):
+            raise InstanceError(f"{label}: expected integer, got bool")
+        if isinstance(value, int):
+            return value
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        raise InstanceError(f"{label}: expected integer, got {value!r}")
+
+    def int_field(record, key, default=None):
+        if not isinstance(record, dict):
+            raise InstanceError(f"expected an object with field {key!r}, got {record!r}")
+        if key not in record:
+            if default is not None:
+                return default
+            raise InstanceError(f"missing required field {key!r} in {record!r}")
+        return as_int(record[key], key)
+
+    return tuple(
+        AoaArc(
+            activity_id=int_field(rec, "id"),
+            start_node=int_field(rec, "start"),
+            end_node=int_field(rec, "end"),
+            duration=int_field(rec, "duration"),
+            demand=int_field(rec, "demand", default=1),
+        )
+        for rec in records
+    )
+
+
+FIELD_VALUES = st.one_of(
+    st.integers(-2, 6),
+    st.integers(-2, 6).map(float),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+)
+ARC_KEYS = ("id", "start", "end", "duration", "demand")
+
+
+@st.composite
+def arc_records(draw):
+    """Exact-int records with up to two fields spoilt (dropped, or set to any
+    other value), the boundary between the two parse paths; now and then a
+    record that is not an object."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(FIELD_VALUES | st.lists(FIELD_VALUES, max_size=2))
+    record = {key: draw(st.integers(0, 6)) for key in ARC_KEYS}
+    for key in draw(st.lists(st.sampled_from(ARC_KEYS), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            del record[key]
+        else:
+            record[key] = draw(FIELD_VALUES)
+    return record
+
+
+def _outcome(parse, data):
+    try:
+        return parse(data)
+    except InstanceError as exc:
+        return f"InstanceError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(arc_records(), min_size=1, max_size=3))
+def test_exact_int_parse_equals_field_by_field_parse(records):
+    document = json.dumps({"format": AOA_FORMAT, "arcs": records})
+    decoded = json.loads(document)["arcs"]  # NaN and the floats as the parser sees them
+    assert _outcome(parse_aoa_instance, document) == _outcome(_reference_arcs, decoded)
 
 
 class TestParseTctp:
