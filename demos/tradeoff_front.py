@@ -30,7 +30,7 @@ def main() -> None:
         result = run_ga(problem, GaConfig(max_evaluations=10_000), SEED)
         print(
             f"{indirect:>12} {result.best_duration:>14} {result.best_cost:>12} "
-            f"{int(result.best_fitness):>10}"
+            f"{result.best_fitness:>10}"
         )
         for point in result.archive.points:
             pooled = archive_insert(pooled, point)

@@ -195,7 +195,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             AlgorithmSummary(
                 algorithm=algorithm,
                 best_run_duration=best_run.best_duration,
-                min_fitness=int(best_run.best_fitness),
+                min_fitness=best_run.best_fitness,
                 best_run_iterations=best_run.native_iterations,
                 avg_duration=sum(r.best_duration for r in algo_runs) / len(algo_runs),
                 avg_fitness=sum(r.best_fitness for r in algo_runs) / len(algo_runs),

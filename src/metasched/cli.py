@@ -35,7 +35,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.handler(args, parser)
-    except (InstanceError, SchedulingError, RuntimeError, ValueError, OSError) as exc:
+    except (InstanceError, SchedulingError, RuntimeError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -275,7 +275,7 @@ def cmd_tctp(args, parser) -> int:
         "modes": {str(aid): idx for aid, idx in sorted(zip(instance.network.ids, result.best))},
         "duration": result.best_duration,
         "direct_cost": result.best_cost,
-        "total_cost": int(result.best_fitness),
+        "total_cost": result.best_fitness,
     }
     _emit(
         args.format,

@@ -32,27 +32,6 @@ class Activity:
 
 
 @dataclass(frozen=True)
-class AoaArc:
-    """One activity expressed as an arc between two event nodes."""
-
-    activity_id: int
-    start_node: int
-    end_node: int
-    duration: int
-    demand: int = 1
-
-    def __post_init__(self):
-        if self.duration < 0:
-            raise InstanceError(
-                f"activity {self.activity_id}: negative duration {self.duration}"
-            )
-        if self.start_node == self.end_node:
-            raise InstanceError(
-                f"activity {self.activity_id}: self-loop at node {self.start_node}"
-            )
-
-
-@dataclass(frozen=True)
 class ProjectNetwork:
     """Activities plus an acyclic predecessor relation over their ids.
 
@@ -195,21 +174,21 @@ def validate_network(net: ProjectNetwork) -> list[str]:
     return []
 
 
-def derive_precedence_from_nodes(arcs: list[AoaArc] | tuple[AoaArc, ...]) -> ProjectNetwork:
-    """Build the precedence network implied by shared event nodes.
+def derive_precedence_from_nodes(arcs: tuple[tuple[Activity, int, int], ...]) -> ProjectNetwork:
+    """Build the precedence network implied by shared event nodes, from
+    (activity, start node, end node) arcs.
 
     Activity j is a successor of activity i iff j starts at the node i ends
     at. The arc order is preserved in the resulting activity tuple.
     """
     by_end: dict[int, list[int]] = {}
-    for arc in arcs:
-        by_end.setdefault(arc.end_node, []).append(arc.activity_id)
-    activities = tuple(Activity(a.activity_id, a.duration, a.demand) for a in arcs)
+    for activity, _, end in arcs:
+        by_end.setdefault(end, []).append(activity.id)
     # One set per event node, shared by every arc that starts there.
     into = {node: frozenset(ending) for node, ending in by_end.items()}
     no_predecessors = frozenset()
-    predecessors = {a.activity_id: into.get(a.start_node, no_predecessors) for a in arcs}
-    net = ProjectNetwork(activities=activities, predecessors=predecessors)
+    predecessors = {activity.id: into.get(start, no_predecessors) for activity, start, _ in arcs}
+    net = ProjectNetwork(activities=tuple(activity for activity, _, _ in arcs), predecessors=predecessors)
     net.compiled  # raises on a duplicate id or a cycle the node structure induced
     return net
 
@@ -269,32 +248,23 @@ class TctpInstance:
             raise InstanceError("options do not cover exactly the network's activities")
 
 
-def parse_aoa_instance(document: str) -> tuple[AoaArc, ...]:
-    """Parse an activity-on-arrow instance document into arcs, order preserved."""
-    data = _load_json(document)
-    if data.get("format") != AOA_FORMAT:
-        raise InstanceError(f"expected format {AOA_FORMAT!r}, got {data.get('format')!r}")
-    records = data.get("arcs")
-    if not isinstance(records, list) or not records:
-        raise InstanceError("empty instance")
+def parse_aoa_instance(document: str) -> tuple[tuple[Activity, int, int], ...]:
+    """Parse an activity-on-arrow instance document into (activity, start
+    node, end node) arcs, order preserved."""
     arcs = []
-    for rec in records:
-        if type(rec) is dict:  # the common record: five exact ints, so no bool
+    for rec in _records(_load_json(document), AOA_FORMAT, "arcs"):
+        exact = type(rec) is dict  # the common record: five exact ints, so no bool
+        if exact:
             aid, start, end = rec.get("id"), rec.get("start"), rec.get("end")
             duration, demand = rec.get("duration"), rec.get("demand", 1)
-            if type(aid) is type(start) is type(end) is type(duration) is type(demand) is int:
-                arcs.append(AoaArc(aid, start, end, duration, demand))
-                continue
-        # Anything else converts field by field and names the first bad one.
-        arcs.append(
-            AoaArc(
-                activity_id=_int_field(rec, "id"),
-                start_node=_int_field(rec, "start"),
-                end_node=_int_field(rec, "end"),
-                duration=_int_field(rec, "duration"),
-                demand=_int_field(rec, "demand", default=1),
-            )
-        )
+            exact = type(aid) is type(start) is type(end) is type(duration) is type(demand) is int
+        if not exact:  # anything else converts field by field and names the first bad one
+            aid, start, end, duration = (_int_field(rec, key) for key in ("id", "start", "end", "duration"))
+            demand = _int_field(rec, "demand", default=1)
+        activity = Activity(aid, duration, demand)
+        if start == end:
+            raise InstanceError(f"activity {aid}: self-loop at node {start}")
+        arcs.append((activity, start, end))
     return tuple(arcs)
 
 
@@ -307,11 +277,7 @@ def parse_tctp_instance(document: str | dict, indirect_cost_override: int | None
     error if neither supplies it.
     """
     data = document if isinstance(document, dict) else _load_json(document)
-    if data.get("format") != TCTP_FORMAT:
-        raise InstanceError(f"expected format {TCTP_FORMAT!r}, got {data.get('format')!r}")
-    records = data.get("activities")
-    if not isinstance(records, list) or not records:
-        raise InstanceError("empty instance")
+    records = _records(data, TCTP_FORMAT, "activities")
     if indirect_cost_override is not None:
         indirect = indirect_cost_override
     elif "indirect_cost_per_day" in data:
@@ -355,6 +321,17 @@ def _load_json(document: str) -> dict:
     if not isinstance(data, dict):
         raise InstanceError("malformed document: top level must be an object")
     return data
+
+
+def _records(data: dict, format: str, key: str) -> list:
+    """The record list under `key` of a `format` document; a wrong format
+    tag, or no records, is refused."""
+    if data.get("format") != format:
+        raise InstanceError(f"expected format {format!r}, got {data.get('format')!r}")
+    records = data.get(key)
+    if not isinstance(records, list) or not records:
+        raise InstanceError("empty instance")
+    return records
 
 
 def _as_int(value, label: str) -> int:

@@ -132,6 +132,9 @@ def exhaustive_rcpsp(
         raise OracleLimitError(
             f"{len(ids)} activities exceeds oracle guard {guard.max_activities}"
         )
+    horizon = sum(a.duration for a in net.activities)  # the decoder keeps one usage entry per time unit
+    if horizon > guard.max_states:
+        raise OracleLimitError(f"horizon {horizon} exceeds state budget {guard.max_states}")
     best: int | None = None
     seen_schedules: set[tuple[tuple[int, int], ...]] = set()
     states = 0

@@ -24,9 +24,9 @@ def rcpsp_problem(net: ProjectNetwork, capacity: int) -> SearchProblem:
     net.compiled  # raises InstanceError on a cycle or a dangling reference
     n = len(net.activities)
 
-    def evaluate(order: tuple) -> tuple[float, int, int]:
+    def evaluate(order: tuple) -> tuple[int, int, int]:
         makespan = serial_sgs(net, capacity, order).makespan
-        return float(makespan), makespan, 0
+        return makespan, makespan, 0
 
     def neighborhood(order: tuple) -> list[Move]:
         moves = []
@@ -98,10 +98,10 @@ def tctp_problem(instance: TctpInstance) -> SearchProblem:
     option_counts = tuple(len(instance.options[aid]) for aid in ids)
     early_finish = view.early_finish
 
-    def evaluate(modes: tuple) -> tuple[float, int, int]:
+    def evaluate(modes: tuple) -> tuple[int, int, int]:
         duration = max(early_finish(list(map(getitem, option_durations, modes))))
         direct = sum(map(getitem, option_costs, modes))
-        return float(duration * indirect_cost + direct), duration, direct
+        return duration * indirect_cost + direct, duration, direct
 
     def initial(rng: random.Random) -> tuple:
         return tuple(rng.randrange(1, count + 1) for count in option_counts)

@@ -88,13 +88,13 @@ class Move:
 class SearchProblem:
     """One optimization problem: representation, variation, and evaluation.
 
-    `evaluate` returns (fitness, duration, cost); fitness is minimized and
-    duration/cost feed the visited-solution archive. `mutate` takes a
-    per-gene rate; the GA defaults it to 1/len(candidate).
+    `evaluate` returns (fitness, duration, cost), exact ints; fitness is
+    minimized and duration/cost feed the visited-solution archive. `mutate`
+    takes a per-gene rate; the GA defaults it to 1/len(candidate).
     """
 
     initial: Callable[[random.Random], Candidate]
-    evaluate: Callable[[Candidate], tuple[float, int, int]]
+    evaluate: Callable[[Candidate], tuple[int, int, int]]
     neighbor: Callable[[Candidate, random.Random], Candidate]
     neighborhood: Callable[[Candidate], list[Move]]
     crossover: Callable[[Candidate, Candidate, random.Random], Candidate]
@@ -106,12 +106,12 @@ class RunResult:
     algorithm: str
     seed: int
     best: Candidate
-    best_fitness: float
+    best_fitness: int
     best_duration: int
     best_cost: int  # direct cost for TCTP, 0 for RCPSP
     evaluations_used: int
     native_iterations: int
-    trajectory: tuple[tuple[int, float], ...]  # (evaluation index, best-so-far)
+    trajectory: tuple[tuple[int, int], ...]  # (evaluation index, best-so-far)
     archive: ParetoArchive
 
 
@@ -127,14 +127,14 @@ class _Tracker:
         self.best_fitness = math.inf
         self.best_duration = 0
         self.best_cost = 0
-        self.trajectory: list[tuple[int, float]] = []
+        self.trajectory: list[tuple[int, int]] = []
         self.archive = ParetoArchive()
 
     @property
     def remaining(self) -> int:
         return self.max_evaluations - self.evaluations
 
-    def evaluate(self, candidate: Candidate) -> float:
+    def evaluate(self, candidate: Candidate) -> int:
         fitness, duration, cost = self.problem.evaluate(candidate)
         self.evaluations += 1
         if fitness < self.best_fitness:
@@ -198,11 +198,11 @@ def run_sa(problem: SearchProblem, config: SaConfig, seed: int) -> RunResult:
 
 
 def _calibrate_temperature(
-    problem: SearchProblem, tracker: _Tracker, start: Candidate, f_start: float, rng: random.Random
+    problem: SearchProblem, tracker: _Tracker, start: Candidate, f_start: int, rng: random.Random
 ) -> float:
     """Pick a starting temperature that would accept ~80% of the worsening
     moves among 100 sampled neighbours of the initial candidate."""
-    worsening: list[float] = []
+    worsening: list[int] = []
     for _ in range(min(100, tracker.remaining)):
         neighbor = problem.neighbor(start, rng)
         delta = tracker.evaluate(neighbor) - f_start
@@ -271,7 +271,7 @@ def run_ga(problem: SearchProblem, config: GaConfig, seed: int) -> RunResult:
     rng = random.Random(seed)
     tracker = _Tracker(problem, config.max_evaluations)
 
-    population: list[tuple[float, Candidate]] = []
+    population: list[tuple[int, Candidate]] = []
     while len(population) < config.population_size and tracker.remaining > 0:
         candidate = problem.initial(rng)
         population.append((tracker.evaluate(candidate), candidate))
@@ -282,7 +282,7 @@ def run_ga(problem: SearchProblem, config: GaConfig, seed: int) -> RunResult:
         generations += 1
         population.sort(key=lambda item: item[0])
         next_population = population[: config.elitism_count]
-        offspring: list[tuple[float, Candidate]] = []
+        offspring: list[tuple[int, Candidate]] = []
         while (
             len(next_population) + len(offspring) < config.population_size
             and tracker.remaining > 0
@@ -300,7 +300,7 @@ def run_ga(problem: SearchProblem, config: GaConfig, seed: int) -> RunResult:
 
 
 def _tournament(
-    population: list[tuple[float, Candidate]], size: int, rng: random.Random
+    population: list[tuple[int, Candidate]], size: int, rng: random.Random
 ) -> Candidate:
     picks = [population[rng.randrange(len(population))] for _ in range(size)]
     return min(picks, key=lambda item: item[0])[1]

@@ -45,6 +45,34 @@ AOA_DOCUMENTS = st.one_of(
     st.fixed_dictionaries({}, optional={"format": JSON_VALUES, "arcs": JSON_VALUES, "name": JSON_VALUES}),
     JSON_VALUES,
 )
+# Integers past the float limits: exact only as ints above 2**53, and no
+# float at all above 10**308.
+BIG_INTS = st.integers(2**53, 2**54) | st.integers(10**308, 10**309)
+TCTP_OPTION = st.fixed_dictionaries({"duration": st.integers(1, 30) | BIG_INTS, "cost": st.integers(0, 30) | BIG_INTS})
+
+
+@st.composite
+def tctp_documents(draw):
+    """tctp-v1 documents of at most 6 activities with at most 3 options each.
+    Most are valid, with costs and durations past the float limits; some
+    have a cycle, a field or the indirect cost replaced by an arbitrary JSON
+    value, or no indirect cost, and some are arbitrary JSON values."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_VALUES)
+    n = draw(st.integers(1, 6))
+    activities = []
+    for aid in range(1, n + 1):
+        earlier = st.lists(st.integers(1, aid - 1), max_size=2) if aid > 1 else st.just([])
+        record = {"id": aid, "depends": draw(earlier), "options": draw(st.lists(TCTP_OPTION, min_size=1, max_size=3))}
+        if draw(st.integers(0, 9)) == 0:
+            record[draw(st.sampled_from(["id", "depends", "options"]))] = draw(JSON_VALUES)
+        activities.append(record)
+    if draw(st.integers(0, 9)) == 0:
+        activities[0]["depends"] = [n]  # a cycle through the last activity
+    document = {"format": "tctp-v1", "activities": activities}
+    if draw(st.integers(0, 4)):
+        document["indirect_cost_per_day"] = draw(st.integers(0, 30) | BIG_INTS | JSON_VALUES)
+    return document
 
 
 class TestCpmCommand:
@@ -223,6 +251,57 @@ class TestTctpCommand:
         assert code == 1
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+    def test_total_cost_is_exact_above_two_to_the_53(self, capsys, algo):
+        indirect = 2**50 + 1
+        code, out, _ = run_cli(
+            capsys, "tctp", "--instance", "table2", "--indirect-cost", str(indirect),
+            "--algo", algo, "--seed", "1", "--max-evals", "200", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["total_cost"] == payload["duration"] * indirect + payload["direct_cost"]
+
+    def test_sa_total_cost_above_float_range_is_domain_error(self, capsys):
+        # TS and GA only compare costs; SA divides a cost change by its
+        # temperature, which no float can hold here.
+        argv = ("tctp", "--instance", "table2", "--indirect-cost", str(10**320), "--seed", "1", "--max-evals", "200")
+        code, out, err = run_cli(capsys, *argv, "--algo", "sa")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        code, out, _ = run_cli(capsys, *argv, "--algo", "ts", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["total_cost"] == payload["duration"] * 10**320 + payload["direct_cost"]
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        tctp_documents(),
+        st.sampled_from(["tctp", "oracle"]),
+        st.sampled_from(sorted(ALGORITHMS)),
+        st.none() | st.integers(-1, 30) | BIG_INTS,
+    )
+    def test_no_document_prints_a_traceback(self, capsys, tmp_path, document, command, algo, indirect):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        if command == "tctp":
+            argv = ["tctp", "--instance", str(path), "--algo", algo, "--seed", "1", "--max-evals", "30", "--format", "json"]
+        else:
+            argv = ["oracle", "tctp", "--instance", str(path)]
+        if indirect is not None:
+            argv += ["--indirect-cost", str(indirect)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if command == "tctp" and code == 0:
+            payload = json.loads(out)
+            rate = indirect if indirect is not None else int(document["indirect_cost_per_day"])
+            assert payload["total_cost"] == payload["duration"] * rate + payload["direct_cost"]
+
     def test_emit_front(self, capsys, tmp_path):
         front = tmp_path / "front.csv"
         code, _, _ = run_cli(
@@ -382,6 +461,17 @@ class TestOracleCommand:
         code, _, err = run_cli(capsys, "oracle", "tctp", "--instance", "table2")
         assert code == 1
         assert "exceeds" in err
+
+    def test_rcpsp_oracle_refuses_a_long_horizon(self, capsys, tmp_path):
+        arcs = [
+            {"id": 1, "start": 0, "end": 1, "duration": 2**63},
+            {"id": 2, "start": 1, "end": 2, "duration": 1},
+        ]
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"format": "aoa-v1", "arcs": arcs}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "oracle", "rcpsp", "--instance", str(path), "--capacity", "1")
+        assert (code, out) == (1, "")
+        assert err == f"error: horizon {2**63 + 1} exceeds state budget 10000000\n"
 
     def test_capacity_below_demand_is_domain_error(self, capsys):
         code, _, err = run_cli(

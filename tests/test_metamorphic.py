@@ -3,7 +3,8 @@ as they were, or change them in a stated way.
 
 Each relation is checked on the production CPM and serial SGS and on the
 oracle's longest path, over random networks whose ids are neither contiguous
-nor listed in topological order.
+nor listed in topological order; the id relabelling also on the oracle's
+exhaustive time-cost front.
 """
 
 import json
@@ -14,8 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metasched.cpm import compute_cpm
-from metasched.model import AOA_FORMAT, Activity, ProjectNetwork, derive_precedence_from_nodes, parse_aoa_instance
-from metasched.oracle import longest_path_makespan
+from metasched.model import (
+    AOA_FORMAT,
+    Activity,
+    ActivityOption,
+    ProjectNetwork,
+    TctpInstance,
+    derive_precedence_from_nodes,
+    parse_aoa_instance,
+)
+from metasched.oracle import exhaustive_tctp, longest_path_makespan
 from metasched.rcpsp import serial_sgs
 
 from conftest import dags
@@ -24,12 +33,9 @@ from test_serial_sgs import decode_cases
 PROPERTY = settings(max_examples=150, deadline=None)
 
 
-@PROPERTY
-@given(decode_cases(), st.integers(0, 2**32 - 1))
-def test_relabelling_ids_moves_no_start(case, seed):
-    """A random bijection of the ids, with the activities listed in a new
-    order: the same makespans, and the same start for each relabelled id."""
-    net, capacity, order = case
+def _relabel(net: ProjectNetwork, seed: int) -> tuple[ProjectNetwork, dict[int, int]]:
+    """`net` under a random bijection of its ids, with the activities listed
+    in a new order; and the bijection."""
     rng = random.Random(seed)
     label = dict(zip(net.ids, rng.sample(range(1, 100_000), len(net.ids))))
     activities = [replace(a, id=label[a.id]) for a in net.activities]
@@ -38,6 +44,16 @@ def test_relabelling_ids_moves_no_start(case, seed):
         activities=tuple(activities),
         predecessors={label[aid]: frozenset(map(label.get, ps)) for aid, ps in net.predecessors.items()},
     )
+    return relabelled, label
+
+
+@PROPERTY
+@given(decode_cases(), st.integers(0, 2**32 - 1))
+def test_relabelling_ids_moves_no_start(case, seed):
+    """A random bijection of the ids, with the activities listed in a new
+    order: the same makespans, and the same start for each relabelled id."""
+    net, capacity, order = case
+    relabelled, label = _relabel(net, seed)
     assert compute_cpm(relabelled).makespan == compute_cpm(net).makespan
     assert longest_path_makespan(relabelled) == longest_path_makespan(net)
     schedule = serial_sgs(net, capacity, order)
@@ -45,6 +61,29 @@ def test_relabelling_ids_moves_no_start(case, seed):
     assert moved.start_times == {label[aid]: start for aid, start in schedule.start_times.items()}
     assert moved.makespan == schedule.makespan
 
+
+@st.composite
+def tctp_instances(draw, max_activities=6):
+    """Time-cost instances over `dags`: one to three options per activity,
+    so that the oracle enumerates at most 3**6 combinations."""
+    net = draw(dags(max_activities=max_activities))
+    option = st.builds(ActivityOption, st.integers(1, 20), st.integers(0, 100))
+    options = {aid: tuple(draw(st.lists(option, min_size=1, max_size=3))) for aid in net.ids}
+    return TctpInstance(network=net, options=options, indirect_cost_per_day=draw(st.integers(0, 50)))
+
+
+@PROPERTY
+@given(tctp_instances(), st.integers(0, 2**32 - 1))
+def test_relabelling_ids_keeps_the_exhaustive_tctp_front(instance, seed):
+    """A random bijection of the ids, with the activities listed in a new
+    order: the same (duration, direct cost) front and minimum total cost."""
+    net, label = _relabel(instance.network, seed)
+    relabelled = replace(
+        instance, network=net, options={label[aid]: opts for aid, opts in instance.options.items()}
+    )
+    before, after = exhaustive_tctp(instance), exhaustive_tctp(relabelled)
+    assert after.front == before.front
+    assert after.min_total_cost == before.min_total_cost
 
 @PROPERTY
 @given(dags(), st.sampled_from([2, 3]))

@@ -9,7 +9,6 @@ from metasched.instances import read_bundled
 from metasched.model import (
     AOA_FORMAT,
     Activity,
-    AoaArc,
     InstanceError,
     ProjectNetwork,
     derive_precedence_from_nodes,
@@ -31,7 +30,7 @@ class TestDerivePrecedence:
         assert net.predecessors[17] == {3, 8, 10}
 
     def test_single_arc(self):
-        net = derive_precedence_from_nodes((AoaArc(1, 1, 2, 5),))
+        net = derive_precedence_from_nodes(((Activity(1, 5), 1, 2),))
         assert net.ids == (1,)
         assert net.predecessors[1] == frozenset()
 
@@ -46,12 +45,12 @@ class TestDerivePrecedence:
             )
 
     def test_duplicate_id_rejected(self):
-        arcs = (AoaArc(1, 0, 1, 5), AoaArc(1, 1, 2, 5))
+        arcs = ((Activity(1, 5), 0, 1), (Activity(1, 5), 1, 2))
         with pytest.raises(InstanceError, match="duplicate"):
             derive_precedence_from_nodes(arcs)
 
     def test_cyclic_node_structure_rejected(self):
-        arcs = (AoaArc(1, 1, 2, 5), AoaArc(2, 2, 1, 5))
+        arcs = ((Activity(1, 5), 1, 2), (Activity(2, 5), 2, 1))
         with pytest.raises(InstanceError, match="cycle"):
             derive_precedence_from_nodes(arcs)
 
@@ -60,7 +59,8 @@ class TestParseAoa:
     def test_table1_arcs(self):
         arcs = parse_aoa_instance(TABLE1_TEXT)
         assert len(arcs) == 17
-        assert (arcs[0].start_node, arcs[0].end_node, arcs[0].duration) == (0, 2, 20)
+        activity, start, end = arcs[0]
+        assert (activity.id, start, end, activity.duration) == (1, 0, 2, 20)
 
     def test_empty_instance(self):
         with pytest.raises(InstanceError, match="empty instance"):
@@ -77,7 +77,7 @@ class TestParseAoa:
 
     def test_demand_defaults_to_one(self):
         arcs = parse_aoa_instance('{"format": "aoa-v1", "arcs": [{"id": 1, "start": 0, "end": 1, "duration": 2}]}')
-        assert arcs[0].demand == 1
+        assert arcs[0][0].resource_demand == 1
 
     @pytest.mark.parametrize("duration", [0, 3])
     def test_self_loop_rejected_at_any_duration(self, duration):
@@ -91,9 +91,38 @@ class TestParseAoa:
         assert str(exc.value) == "activity 2: self-loop at node 2"
 
 
-def _reference_arcs(records: list) -> tuple[AoaArc, ...]:
-    """The aoa-v1 record loop as it was before exact-int records took a
-    fast path: every field converted on its own, the first bad one named."""
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ({"duration": "5"}, "duration: expected integer, got '5'"),
+            ({"start": True}, "start: expected integer, got bool"),
+            ({"id": 0}, "activity id must be positive, got 0"),
+            ({"duration": -1}, "activity 2: negative duration -1"),
+            ({"demand": -1}, "activity 2: negative demand -1"),
+            ({"end": 2}, "activity 2: self-loop at node 2"),
+            ({"id": 1}, "duplicate activity id 1"),
+            ({"end": 1}, "cycle among activities [1, 2]"),
+            # Two faults in one record: the activity's own check comes first.
+            ({"id": 0, "duration": -1}, "activity id must be positive, got 0"),
+        ],
+        ids=["field-type", "bool", "id", "duration", "demand", "self-loop", "duplicate", "cycle", "id-and-duration"],
+    )
+    def test_fault_message(self, fault, message):
+        arcs = [
+            {"id": 1, "start": 1, "end": 2, "duration": 4},
+            {"id": 2, "start": 2, "end": 3, "duration": 5},
+            {"id": 3, "start": 3, "end": 4, "duration": 6},
+        ]
+        arcs[1].update(fault)
+        with pytest.raises(InstanceError) as exc:
+            derive_precedence_from_nodes(parse_aoa_instance(json.dumps({"format": AOA_FORMAT, "arcs": arcs})))
+        assert str(exc.value) == message
+
+
+def _reference_arcs(records: list) -> tuple[tuple[Activity, int, int], ...]:
+    """The aoa-v1 record loop without the exact-int fast path: every field
+    converted on its own, the first bad one named, then the activity and the
+    self-loop check."""
 
     def as_int(value, label):
         if isinstance(value, bool):
@@ -113,16 +142,14 @@ def _reference_arcs(records: list) -> tuple[AoaArc, ...]:
             raise InstanceError(f"missing required field {key!r} in {record!r}")
         return as_int(record[key], key)
 
-    return tuple(
-        AoaArc(
-            activity_id=int_field(rec, "id"),
-            start_node=int_field(rec, "start"),
-            end_node=int_field(rec, "end"),
-            duration=int_field(rec, "duration"),
-            demand=int_field(rec, "demand", default=1),
-        )
-        for rec in records
-    )
+    arcs = []
+    for rec in records:
+        aid, start, end = int_field(rec, "id"), int_field(rec, "start"), int_field(rec, "end")
+        activity = Activity(aid, int_field(rec, "duration"), int_field(rec, "demand", default=1))
+        if start == end:
+            raise InstanceError(f"activity {aid}: self-loop at node {start}")
+        arcs.append((activity, start, end))
+    return tuple(arcs)
 
 
 FIELD_VALUES = st.one_of(

@@ -88,6 +88,28 @@ class TestExhaustiveRcpsp:
         with pytest.raises(OracleLimitError, match="exceeds"):
             exhaustive_rcpsp(table1, 7)
 
+    def test_state_budget_enforced_within_the_horizon(self, table1_sub8):
+        horizon = sum(a.duration for a in table1_sub8.activities)
+        with pytest.raises(OracleLimitError) as exc:
+            exhaustive_rcpsp(table1_sub8, 3, OracleGuard(max_activities=8, max_states=horizon))
+        assert str(exc.value) == f"state budget {horizon} exceeded"
+
+    @pytest.mark.parametrize("horizon", [100, 101])
+    def test_horizon_within_state_budget(self, horizon):
+        # The decoder keeps one usage entry per time unit up to the horizon,
+        # the sum of all durations.
+        net = ProjectNetwork(
+            activities=(Activity(1, 60), Activity(2, horizon - 60)),
+            predecessors={1: frozenset(), 2: frozenset()},
+        )
+        guard = OracleGuard(max_states=100)
+        if horizon <= guard.max_states:
+            assert exhaustive_rcpsp(net, 1, guard) == horizon
+        else:
+            with pytest.raises(OracleLimitError) as exc:
+                exhaustive_rcpsp(net, 1, guard)
+            assert str(exc.value) == "horizon 101 exceeds state budget 100"
+
 
 def test_oracle_sgs_agrees_with_production_decoder(table1):
     rng = random.Random(19)
