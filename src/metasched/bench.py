@@ -9,7 +9,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 from .instances import load_network, load_tctp
-from .model import InstanceError
+from .model import InstanceError, load_json
 from .problems import rcpsp_problem, tctp_problem
 from .search import GaConfig, RunResult, SaConfig, SearchProblem, TsConfig, run_ga, run_sa, run_ts
 from .tctp import ParetoArchive, archive_insert
@@ -17,7 +17,12 @@ from .tctp import ParetoArchive, archive_insert
 # The search algorithms by name: (config type, runner).
 ALGORITHMS = {"sa": (SaConfig, run_sa), "ts": (TsConfig, run_ts), "ga": (GaConfig, run_ga)}
 # JSON value types admitted by each name in a field annotation.
-_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "None": type(None)}
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "None": type(None), "list": list}
+# A spec's keys, at its top level and in its `problem` object, each with the
+# annotation its value must meet; "" marks an object `_checked` on its own.
+_SPEC_KEYS = {"problem": "", "configs": "", "seeds": "list", "algorithms": "list", "base_seed": "int", "runs": "int",
+              "max_evaluations": "int"}
+_PROBLEM_KEYS = {"kind": "str", "instance": "str", "capacity": "int | None", "indirect_cost": "int | None"}
 # Most seeds (`runs`) one experiment takes: each algorithm runs once per seed.
 MAX_SEEDS = 10_000
 
@@ -49,8 +54,6 @@ class ExperimentSpec:
             repeated = sorted(value for value, count in Counter(values).items() if count > 1)
             if repeated:
                 raise InstanceError(f"repeated {label} {repeated}")
-        checked = ("instance", "capacity", "indirect_cost", "max_evaluations")
-        _check_types("experiment spec", self, {key: getattr(self, key) for key in checked})
         if self.problem_kind == "rcpsp" and self.capacity is None:
             raise InstanceError("rcpsp experiments require a capacity")
         if self.problem_kind == "tctp" and self.indirect_cost is None:
@@ -58,21 +61,13 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, document: str) -> "ExperimentSpec":
-        try:
-            data = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"malformed experiment spec: {exc}") from exc
-        if not isinstance(data, dict):
-            raise InstanceError("malformed experiment spec: top level must be an object")
-        problem = data.get("problem")
-        if not isinstance(problem, dict):
+        data = _checked("experiment spec", load_json(document, "malformed experiment spec"), _SPEC_KEYS)
+        if "problem" not in data:
             raise InstanceError("experiment spec needs a 'problem' object")
+        problem = _checked("experiment spec problem", data["problem"], _PROBLEM_KEYS)
         missing = [key for key in ("kind", "instance") if key not in problem]
         if missing:
             raise InstanceError(f"experiment spec 'problem' lacks {missing}")
-        for key, kind in (("base_seed", int), ("runs", int), ("seeds", list), ("algorithms", list)):
-            if key in data and not _admits(data[key], kind):
-                raise InstanceError(f"malformed experiment spec: {key!r} must be {kind.__name__}, got {data[key]!r}")
         seeds = data.get("seeds")
         wanted = data.get("runs", 10) if seeds is None else len(seeds)
         if wanted > MAX_SEEDS:
@@ -102,39 +97,30 @@ class ExperimentSpec:
 
 def algorithm_configs(sections, overrides: dict[str, dict] | None = None) -> dict:
     """SA, TS and GA configs from a JSON object of per-algorithm sections,
-    each section's keys updated by `overrides[name]`.
-
-    Raises `InstanceError` when `sections` or a section is not an object,
-    `sections` has a key other than sa/ts/ga, or a section names a key its
-    config does not have or gives a value of a type its field does not admit.
-    """
-    if not isinstance(sections, dict):
-        raise InstanceError("algorithm configs must be an object with 'sa'/'ts'/'ga' sections")
-    unknown = sorted(set(sections) - ALGORITHMS.keys())
-    if unknown:
-        raise InstanceError(f"unknown algorithm config sections {unknown}; expected 'sa', 'ts' or 'ga'")
+    each section's keys updated by `overrides[name]`; `_checked` refuses
+    `sections` or a section it does not admit."""
+    _checked("algorithm config", sections, dict.fromkeys(ALGORITHMS, ""), noun="sections")
     configs = {}
     for name, (config_type, _) in ALGORITHMS.items():
-        section = sections.get(name, {})
-        if not isinstance(section, dict):
-            raise InstanceError(f"{name} config must be an object")
-        unknown = sorted(set(section) - {f.name for f in fields(config_type)})
-        if unknown:
-            raise InstanceError(f"unknown {name} config keys {unknown}")
-        values = {**section, **(overrides or {}).get(name, {})}
-        _check_types(f"{name} config", config_type, values)
-        configs[name] = config_type(**values)
+        section = _checked(f"{name} config", sections.get(name, {}), {f.name: f.type for f in fields(config_type)})
+        configs[name] = config_type(**{**section, **(overrides or {}).get(name, {})})
     return configs
 
 
-def _check_types(label: str, record_type, values: dict) -> None:
-    """Raise `InstanceError` for the first of `values` (JSON values keyed by
-    field name) that its field's annotation in `record_type`, such as
-    `float | None`, does not admit."""
-    annotations = {f.name: f.type for f in fields(record_type)}
-    for key, value in values.items():
-        if not _admits(value, *(_FIELD_TYPES[name] for name in annotations[key].split(" | "))):
-            raise InstanceError(f"{label} {key!r} must be {annotations[key]}, got {value!r}")
+def _checked(label: str, value, annotations: dict[str, str], noun: str = "keys") -> dict:
+    """`value`, when it is a JSON object whose every key `annotations` names
+    and whose every value has a type the key's annotation, such as
+    `float | None`, admits ("" admits any value); else `InstanceError`."""
+    if not isinstance(value, dict):
+        raise InstanceError(f"{label} must be an object, got {value!r}")
+    unknown = sorted(value.keys() - annotations.keys())
+    if unknown:
+        raise InstanceError(f"unknown {label} {noun} {unknown}")
+    for key, item in value.items():
+        kinds = annotations[key]
+        if kinds and not _admits(item, *(_FIELD_TYPES[name] for name in kinds.split(" | "))):
+            raise InstanceError(f"{label} {key!r} must be {kinds}, got {item!r}")
+    return value
 
 
 def _admits(value, *types) -> bool:
@@ -153,8 +139,8 @@ class AlgorithmSummary:
     best_run_duration: int
     min_fitness: int
     best_run_iterations: int
-    avg_duration: float
-    avg_fitness: float
+    avg_duration: float | int  # an int past the float range: see `_mean`
+    avg_fitness: float | int
     avg_iterations: float
     success_pct: float
 
@@ -197,13 +183,21 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
                 best_run_duration=best_run.best_duration,
                 min_fitness=best_run.best_fitness,
                 best_run_iterations=best_run.native_iterations,
-                avg_duration=sum(r.best_duration for r in algo_runs) / len(algo_runs),
-                avg_fitness=sum(r.best_fitness for r in algo_runs) / len(algo_runs),
-                avg_iterations=sum(r.native_iterations for r in algo_runs) / len(algo_runs),
+                avg_duration=_mean([r.best_duration for r in algo_runs]),
+                avg_fitness=_mean([r.best_fitness for r in algo_runs]),
+                avg_iterations=_mean([r.native_iterations for r in algo_runs]),
                 success_pct=pct.get(algorithm, 0.0),
             )
         )
     return ExperimentReport(spec=spec, summaries=tuple(summaries), pooled_front=front, runs=tuple(runs))
+
+
+def _mean(values: list[int]) -> float | int:
+    """The mean of `values`: a float when one holds it, else the exact mean rounded half up to an int."""
+    try:
+        return sum(values) / len(values)
+    except OverflowError:
+        return (2 * sum(values) + len(values)) // (2 * len(values))
 
 
 def pooled_front(runs: list[RunResult]) -> tuple[tuple[int, int, tuple[str, ...], tuple], ...]:

@@ -19,7 +19,7 @@ from . import __version__
 from .bench import ALGORITHMS, ExperimentSpec, algorithm_configs, csv_text, run_experiment, write_csv, write_report
 from .cpm import compute_cpm
 from .instances import export_bundled, instance_text, list_bundled_instances, load_network
-from .model import AOA_FORMAT, TCTP_FORMAT, InstanceError, _load_json, induced_subnetwork, parse_tctp_instance
+from .model import AOA_FORMAT, TCTP_FORMAT, InstanceError, induced_subnetwork, load_json, parse_tctp_instance
 from .oracle import OracleGuard, exhaustive_rcpsp, exhaustive_tctp, longest_path_makespan
 from .problems import rcpsp_problem, tctp_problem
 from .rcpsp import SchedulingError, constrained_critical, resource_profile, serial_sgs
@@ -156,7 +156,7 @@ def resolve_configs(args) -> dict[str, object]:
     """Config file sections (from --config or $METASCHED_CONFIG) with
     --max-evals and the config flags, where given, applied on top."""
     path = args.config or os.environ.get("METASCHED_CONFIG")
-    sections = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
+    sections = load_json(Path(path).read_text(encoding="utf-8"), f"malformed config file {path!r}") if path else {}
     budget = {} if args.max_evals is None else {"max_evaluations": args.max_evals}
     overrides = {name: dict(budget) for name in ALGORITHMS}
     for flag, algorithm, key, _, _ in CONFIG_FLAGS:
@@ -253,7 +253,7 @@ def cmd_rcpsp(args, parser) -> int:
 def _read_tctp(args) -> tuple[dict, bool]:
     """The parsed instance document, and whether neither `--indirect-cost`
     nor the document gives an indirect cost."""
-    document = _load_json(instance_text(args.instance))
+    document = load_json(instance_text(args.instance))
     return document, args.indirect_cost is None and "indirect_cost_per_day" not in document
 
 

@@ -6,7 +6,6 @@ to a UTF-8 instance file on disk.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 from pathlib import Path
 
@@ -15,6 +14,7 @@ from ..model import (
     ProjectNetwork,
     TctpInstance,
     derive_precedence_from_nodes,
+    load_json,
     parse_aoa_instance,
     parse_tctp_instance,
 )
@@ -51,7 +51,7 @@ def list_bundled_instances() -> list[dict]:
     """Catalogue of shipped instances: name, kind, activity count, description."""
     catalogue = []
     for name in BUNDLED_NAMES:
-        data = json.loads(read_bundled(name))
+        data = load_json(read_bundled(name))
         if data["format"] == "aoa-v1":
             count = len(data["arcs"])
         else:

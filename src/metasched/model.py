@@ -252,7 +252,7 @@ def parse_aoa_instance(document: str) -> tuple[tuple[Activity, int, int], ...]:
     """Parse an activity-on-arrow instance document into (activity, start
     node, end node) arcs, order preserved."""
     arcs = []
-    for rec in _records(_load_json(document), AOA_FORMAT, "arcs"):
+    for rec in _records(load_json(document), AOA_FORMAT, "arcs"):
         exact = type(rec) is dict  # the common record: five exact ints, so no bool
         if exact:
             aid, start, end = rec.get("id"), rec.get("start"), rec.get("end")
@@ -276,7 +276,7 @@ def parse_tctp_instance(document: str | dict, indirect_cost_override: int | None
     `indirect_cost_override` (which wins when both are present); it is an
     error if neither supplies it.
     """
-    data = document if isinstance(document, dict) else _load_json(document)
+    data = document if isinstance(document, dict) else load_json(document)
     records = _records(data, TCTP_FORMAT, "activities")
     if indirect_cost_override is not None:
         indirect = indirect_cost_override
@@ -313,13 +313,15 @@ def parse_tctp_instance(document: str | dict, indirect_cost_override: int | None
     return TctpInstance(network=net, options=options, indirect_cost_per_day=indirect)
 
 
-def _load_json(document: str) -> dict:
+def load_json(document: str, label: str = "malformed document") -> dict:
+    """The top-level object of the JSON text `document`; text that is not JSON
+    or holds no object raises `InstanceError`, its message led by `label`."""
     try:
         data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"malformed document: {exc}") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
+        raise InstanceError(f"{label}: {exc}") from exc
     if not isinstance(data, dict):
-        raise InstanceError("malformed document: top level must be an object")
+        raise InstanceError(f"{label}: top level must be an object")
     return data
 
 

@@ -181,19 +181,21 @@ def run_sa(problem: SearchProblem, config: SaConfig, seed: int) -> RunResult:
     current = problem.initial(rng)
     f_cur = tracker.evaluate(current)
 
-    temperature = config.initial_temperature
-    if temperature is None:
-        temperature = _calibrate_temperature(problem, tracker, current, f_cur, rng)
-
     steps = 0
-    while tracker.remaining > 0:
-        candidate = problem.neighbor(current, rng)
-        f_new = tracker.evaluate(candidate)
-        if rng.random() < sa_accept_probability(f_new - f_cur, temperature):
-            current, f_cur = candidate, f_new
-        steps += 1
-        if steps % config.steps_per_temperature == 0:
-            temperature = max(temperature * config.cooling_factor, 1e-12)
+    try:  # an int fitness change past the float range cannot be weighed against a temperature
+        temperature = config.initial_temperature
+        if temperature is None:
+            temperature = _calibrate_temperature(problem, tracker, current, f_cur, rng)
+        while tracker.remaining > 0:
+            candidate = problem.neighbor(current, rng)
+            f_new = tracker.evaluate(candidate)
+            if rng.random() < sa_accept_probability(f_new - f_cur, temperature):
+                current, f_cur = candidate, f_new
+            steps += 1
+            if steps % config.steps_per_temperature == 0:
+                temperature = max(temperature * config.cooling_factor, 1e-12)
+    except OverflowError as exc:
+        raise OverflowError("sa: a cost change is beyond the float range, so no temperature can divide it") from exc
     return tracker.result("sa", seed, native_iterations=steps)
 
 

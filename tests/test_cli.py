@@ -1,6 +1,8 @@
 import json
+import math
 import time
 from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -45,6 +47,9 @@ AOA_DOCUMENTS = st.one_of(
     st.fixed_dictionaries({}, optional={"format": JSON_VALUES, "arcs": JSON_VALUES, "name": JSON_VALUES}),
     JSON_VALUES,
 )
+# What SA reports for a cost change no float can hold; the cost's digits are
+# not printed.
+SA_OVERFLOW = "sa: a cost change is beyond the float range, so no temperature can divide it"
 # Integers past the float limits: exact only as ints above 2**53, and no
 # float at all above 10**308.
 BIG_INTS = st.integers(2**53, 2**54) | st.integers(10**308, 10**309)
@@ -73,6 +78,39 @@ def tctp_documents(draw):
     if draw(st.integers(0, 4)):
         document["indirect_cost_per_day"] = draw(st.integers(0, 30) | BIG_INTS | JSON_VALUES)
     return document
+
+
+# Spec values for `bench_specs`: every run small and few. `max_evaluations`
+# stays within 1..30 or is ill-typed, never absent (the default is 20,000),
+# and `runs` stays at most 3; JSON_VALUES lists hold at most 3 seeds.
+NOT_INTS = JSON_VALUES.filter(lambda value: type(value) is not int)
+BOUNDED = {"max_evaluations": st.integers(1, 30) | NOT_INTS, "runs": st.integers(-1, 3) | NOT_INTS}
+
+
+@st.composite
+def bench_specs(draw):
+    """Bench specs grown from a small valid one: in its top level, its
+    `problem` and its `configs` sections, keys are dropped, values are
+    replaced by arbitrary JSON values and unknown keys are added."""
+    problem = draw(st.sampled_from([
+        {"kind": "rcpsp", "instance": "table1", "capacity": 7},
+        {"kind": "tctp", "instance": "table2", "indirect_cost": 230},
+    ]))
+    sections = {"sa": {"steps_per_temperature": 5}, "ts": {"tabu_tenure": 3}, "ga": {"population_size": 6}}
+    spec = {
+        "problem": dict(problem), "seeds": [1, 2], "base_seed": 1, "runs": 2, "max_evaluations": 20,
+        "algorithms": ["sa", "ts", "ga"], "configs": sections,
+    }
+    for record in (spec, spec["problem"], *sections.values()):
+        for key in sorted(record):
+            action = draw(st.integers(0, 23))  # rare, so that many specs still run
+            if action == 0 and key not in BOUNDED:
+                del record[key]
+            elif action == 1:
+                record[key] = draw(BOUNDED.get(key, JSON_VALUES))
+        if draw(st.integers(0, 9)) == 0:
+            record[draw(st.text(max_size=4).filter(lambda key: key not in record))] = draw(JSON_VALUES)
+    return spec
 
 
 class TestCpmCommand:
@@ -241,12 +279,32 @@ class TestTctpCommand:
                 },
                 "got 7",
             ),
+            (
+                {"format": "tctp-v1", "indirect_cost_per_day": 1, "activities": [{"id": 1, "options": [
+                    {"duration": 0, "cost": 5}]}]},
+                "option duration must be >= 1, got 0",
+            ),
+            (
+                {"format": "tctp-v1", "indirect_cost_per_day": 1, "activities": [{"id": 1, "options": [
+                    {"duration": 2, "cost": -1}]}]},
+                "negative option cost -1",
+            ),
+            (
+                {"format": "tctp-v1", "indirect_cost_per_day": 1, "activities": [{"id": 1, "options": [
+                    {"duration": d, "cost": 10 - d} for d in range(1, 7)]}]},
+                "activity 1 has more than 5 options",
+            ),
+            ('{"format": "tctp-v1",', "malformed document:"),
+            ('{"indirect_cost_per_day": 1' + "0" * 5000 + "}", "malformed document:"),
         ],
-        ids=["top-level-number", "activity-not-an-object", "option-not-an-object"],
+        ids=[
+            "top-level-number", "activity-not-an-object", "option-not-an-object", "zero-option-duration",
+            "negative-option-cost", "six-options", "not-json", "integer-past-the-digit-limit",
+        ],
     )
     def test_malformed_instance_is_domain_error(self, capsys, tmp_path, document, message):
         path = tmp_path / "instance.json"
-        path.write_text(json.dumps(document))
+        path.write_text(document if isinstance(document, str) else json.dumps(document))
         code, _, err = run_cli(capsys, "tctp", "--instance", str(path), "--seed", "1")
         assert code == 1
         assert err.startswith("error:") and message in err
@@ -267,8 +325,7 @@ class TestTctpCommand:
         # temperature, which no float can hold here.
         argv = ("tctp", "--instance", "table2", "--indirect-cost", str(10**320), "--seed", "1", "--max-evals", "200")
         code, out, err = run_cli(capsys, *argv, "--algo", "sa")
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ")
+        assert (code, out, err) == (1, "", f"error: {SA_OVERFLOW}\n")
         code, out, _ = run_cli(capsys, *argv, "--algo", "ts", "--format", "json")
         assert code == 0
         payload = json.loads(out)
@@ -380,6 +437,38 @@ class TestConfigResolution:
         )
         assert code == 1
         assert err.startswith("error: unknown algorithm config sections ['GA']")
+
+    def test_config_file_not_json_is_domain_error(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"ga": ')
+        code, _, err = run_cli(
+            capsys, "rcpsp", "--instance", "table1", "--capacity", "7", "--seed", "1", "--config", str(config)
+        )
+        assert code == 1
+        assert err.startswith(f"error: malformed config file {str(config)!r}: ")
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                name: st.fixed_dictionaries({}, optional=dict.fromkeys((f.name for f in fields(config)), JSON_VALUES))
+                | JSON_VALUES
+                for name, (config, _) in ALGORITHMS.items()
+            },
+        )
+        | JSON_VALUES
+    )
+    def test_no_config_file_prints_a_traceback(self, capsys, tmp_path, document):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(document), encoding="utf-8")
+        argv = ["rcpsp", "--instance", "table1", "--capacity", "7", "--seed", "1", "--max-evals", "20"]
+        try:
+            code = main([*argv, "--config", str(config)])
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_config_file_budget_applies_without_max_evals(self, tmp_path):
         config = tmp_path / "config.json"
@@ -532,6 +621,35 @@ class TestBenchCommand:
         for name in ("report.json", "summary.csv", "front.csv"):
             assert (out_dir / name).exists()
 
+    def test_fitness_past_the_float_range(self, capsys, tmp_path):
+        # Summed fitness no float holds: the average is the exact mean rounded
+        # half up, and SA, which divides a cost change, ends with exit 1.
+        problem = {"kind": "tctp", "instance": "table2", "indirect_cost": 10**320}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"problem": problem, "seeds": [1, 2], "max_evaluations": 100, "algorithms": ["ts", "ga"]}))
+        code, _, _ = run_cli(capsys, "bench", "--spec", str(spec), "--out", str(tmp_path / "out"))
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        for summary in report["summaries"]:
+            fitness = [r["best_fitness"] for r in report["runs"] if r["algorithm"] == summary["algorithm"]]
+            assert summary["avg_fitness"] == math.floor(Fraction(sum(fitness), len(fitness)) + Fraction(1, 2))
+        spec.write_text(json.dumps({"problem": problem, "seeds": [1], "max_evaluations": 100, "algorithms": ["sa"]}))
+        code, out, err = run_cli(capsys, "bench", "--spec", str(spec), "--out", str(tmp_path / "sa"))
+        assert (code, out, err) == (1, "", f"error: {SA_OVERFLOW}\n")
+        assert not (tmp_path / "sa").exists()
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bench_specs())
+    def test_no_spec_prints_a_traceback(self, capsys, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        try:
+            code = main(["bench", "--spec", str(path), "--out", str(tmp_path / "out")])
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "spec, message",
         [
@@ -580,7 +698,7 @@ class TestBenchCommand:
             ([1, 2], "top level must be an object"),
             (
                 {"problem": {"kind": "tctp", "instance": "table2"}, "seeds": 5},
-                "malformed experiment spec",
+                "experiment spec 'seeds' must be list, got 5",
             ),
             (
                 {"problem": {"kind": "rcpsp", "instance": "table1", "capacity": "7"}, "seeds": [1]},
@@ -631,6 +749,16 @@ class TestBenchCommand:
                     ({"seeds": [1], "algorithms": "sa"}, "'algorithms' must be list"),
                 ]
             ),
+            ('{"problem": {"kind": "tctp"', "malformed experiment spec: "),
+            (
+                {"problem": {"kind": "tctp", "instance": "table2", "indirect_cost": 230}, "seeds": [1],
+                 "max_evaluation": 50},
+                "unknown experiment spec keys ['max_evaluation']",
+            ),
+            (
+                {"problem": {"kind": "rcpsp", "instance": "table1", "capcity": 3}, "seeds": [1]},
+                "unknown experiment spec problem keys ['capcity']",
+            ),
         ],
         ids=[
             "no-problem", "no-instance", "no-kind", "unknown-config-key", "record-moves", "unknown-config-section",
@@ -641,11 +769,12 @@ class TestBenchCommand:
             "no-algorithms", "seeds-a-string", "seed-a-float", "seed-a-bool",
             "max-evaluations-a-string", "max-evaluations-a-float", "max-evaluations-a-bool",
             "base-seed-a-string", "runs-a-float", "runs-a-bool", "algorithms-a-string",
+            "not-json", "unknown-key", "unknown-problem-key",
         ],
     )
     def test_malformed_spec_is_domain_error(self, capsys, tmp_path, spec, message):
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec))
+        path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
         code, _, err = run_cli(capsys, "bench", "--spec", str(path), "--out", str(tmp_path / "out"))
         assert code == 1
         assert err.startswith("error:") and message in err
