@@ -22,7 +22,7 @@ def main() -> None:
     net = load_network("table1")
     cpm = compute_cpm(net)
 
-    early = serial_sgs(net, capacity=17, order=tuple(net.topological_order()))
+    early = serial_sgs(net, capacity=17, order=repair_precedence(net, net.ids))
     peak = resource_profile(net, early).peak
     print(f"unconstrained makespan: {cpm.makespan} days, peak usage {peak} units")
     print(f"available capacity:     {CAPACITY} units -> rescheduling required\n")

@@ -20,7 +20,6 @@ from .bench import ALGORITHMS, ExperimentSpec, algorithm_configs, csv_text, run_
 from .cpm import compute_cpm
 from .instances import export_bundled, instance_text, list_bundled_instances, load_network
 from .model import AOA_FORMAT, TCTP_FORMAT, InstanceError, induced_subnetwork, load_json, parse_tctp_instance
-from .oracle import OracleGuard, exhaustive_rcpsp, exhaustive_tctp, longest_path_makespan
 from .problems import rcpsp_problem, tctp_problem
 from .rcpsp import SchedulingError, constrained_critical, resource_profile, serial_sgs
 
@@ -301,6 +300,7 @@ def cmd_bench(args, parser) -> int:
 
 
 def cmd_oracle(args, parser) -> int:
+    from .oracle import exhaustive_rcpsp, exhaustive_tctp, longest_path_makespan
     if args.kind == "rcpsp" and args.capacity is None:
         parser.error("oracle rcpsp requires --capacity")
     if args.kind == "tctp":
@@ -309,7 +309,7 @@ def cmd_oracle(args, parser) -> int:
         if args.activities:
             net = induced_subnetwork(instance.network, args.activities)
             instance = replace(instance, network=net, options={aid: instance.options[aid] for aid in net.ids})
-        result = exhaustive_tctp(instance, OracleGuard())
+        result = exhaustive_tctp(instance)
         print("front (duration, direct_cost):")
         for duration, cost in result.front:
             print(f"  {duration},{cost}")

@@ -6,7 +6,6 @@ to a UTF-8 instance file on disk.
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 from ..model import (
@@ -25,7 +24,7 @@ BUNDLED_NAMES = ("table1", "table2")
 def read_bundled(name: str) -> str:
     if name not in BUNDLED_NAMES:
         raise InstanceError(f"unknown bundled instance {name!r}; have {BUNDLED_NAMES}")
-    return resources.files(__package__).joinpath(f"{name}.json").read_text(encoding="utf-8")
+    return __spec__.loader.get_data(str(Path(__file__).with_name(f"{name}.json"))).decode("utf-8")
 
 
 def instance_text(ref: str) -> str:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable
 
 from .tctp import ParetoArchive, ParetoPoint, archive_insert
 
@@ -28,7 +29,7 @@ class SaConfig:
     max_evaluations: int = 20_000
 
     def __post_init__(self):
-        if self.initial_temperature is not None and not 0 < self.initial_temperature < math.inf:
+        if self.initial_temperature is not None and not 0 < self.initial_temperature <= sys.float_info.max:
             raise ValueError("initial_temperature must be positive and finite")
         if not 0 < self.cooling_factor < 1:
             raise ValueError("cooling_factor must be in (0, 1)")

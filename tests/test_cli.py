@@ -3,11 +3,13 @@ import math
 import time
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from metasched import instances
 from metasched.bench import ALGORITHMS
 from metasched.cli import CONFIG_FLAGS, build_parser, main, resolve_configs
 from metasched.instances import read_bundled
@@ -296,10 +298,16 @@ class TestTctpCommand:
             ),
             ('{"format": "tctp-v1",', "malformed document:"),
             ('{"indirect_cost_per_day": 1' + "0" * 5000 + "}", "malformed document:"),
+            (
+                {"format": "tctp-v1", "indirect_cost_per_day": -1, "activities": [{"id": 1, "options": [
+                    {"duration": 2, "cost": 5}]}]},
+                "negative indirect cost",
+            ),
         ],
         ids=[
             "top-level-number", "activity-not-an-object", "option-not-an-object", "zero-option-duration",
             "negative-option-cost", "six-options", "not-json", "integer-past-the-digit-limit",
+            "negative-indirect-cost",
         ],
     )
     def test_malformed_instance_is_domain_error(self, capsys, tmp_path, document, message):
@@ -404,12 +412,14 @@ class TestConfigResolution:
         assert code == 1
         assert "tournament_size" in err
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    # An int past the float range is no temperature either: the first
+    # cooling step could not multiply it.
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 10**400], ids=["nan", "inf", "int-past-the-float-range"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_non_finite_sa_temperature_is_domain_error(self, capsys, tmp_path, source, value):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"sa": {"initial_temperature": float(value)}}))
-        where = ("--sa-initial-temp", value) if source == "flag" else ("--config", str(config))
+        config.write_text(json.dumps({"sa": {"initial_temperature": value}}))
+        where = ("--sa-initial-temp", str(value)) if source == "flag" else ("--config", str(config))
         code, _, err = run_cli(
             capsys, "tctp", "--instance", "table2", "--indirect-cost", "230",
             "--algo", "sa", "--seed", "4", "--max-evals", "10", *where,
@@ -545,6 +555,10 @@ class TestOracleCommand:
             capsys, "oracle", "tctp", "--instance", str(path), "--activities", "1-6", "--indirect-cost", "0"
         )
         assert "minimum total cost at I=0: 63400" in out
+
+    def test_rcpsp_oracle_requires_capacity(self, capsys):
+        err = usage_error(capsys, "oracle", "rcpsp", "--instance", "table1")
+        assert "oracle rcpsp requires --capacity" in err
 
     def test_oversized_oracle_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "tctp", "--instance", "table2")
@@ -759,6 +773,11 @@ class TestBenchCommand:
                 {"problem": {"kind": "rcpsp", "instance": "table1", "capcity": 3}, "seeds": [1]},
                 "unknown experiment spec problem keys ['capcity']",
             ),
+            ({"problem": {"kind": "foo", "instance": "table1"}, "seeds": [1]}, "unknown problem kind 'foo'"),
+            (
+                {"problem": {"kind": "tctp", "instance": "table2", "indirect_cost": 230}, "seeds": []},
+                "at least one seed required",
+            ),
         ],
         ids=[
             "no-problem", "no-instance", "no-kind", "unknown-config-key", "record-moves", "unknown-config-section",
@@ -769,7 +788,7 @@ class TestBenchCommand:
             "no-algorithms", "seeds-a-string", "seed-a-float", "seed-a-bool",
             "max-evaluations-a-string", "max-evaluations-a-float", "max-evaluations-a-bool",
             "base-seed-a-string", "runs-a-float", "runs-a-bool", "algorithms-a-string",
-            "not-json", "unknown-key", "unknown-problem-key",
+            "not-json", "unknown-key", "unknown-problem-key", "unknown-kind", "no-seeds",
         ],
     )
     def test_malformed_spec_is_domain_error(self, capsys, tmp_path, spec, message):
@@ -791,9 +810,17 @@ class TestInstancesCommand:
         target = tmp_path / "copy.json"
         code, _, _ = run_cli(capsys, "instances", "export", "table1", str(target))
         assert code == 0
+        assert target.read_bytes() == Path(instances.__file__).with_name("table1.json").read_bytes()
         code, out, _ = run_cli(capsys, "cpm", "--instance", str(target))
         assert code == 0
         assert "makespan: 126" in out
+
+    def test_export_of_unknown_name_is_domain_error(self, capsys, tmp_path):
+        target = tmp_path / "copy.json"
+        code, out, err = run_cli(capsys, "instances", "export", "nosuch", str(target))
+        assert (code, out) == (1, "")
+        assert err == "error: unknown bundled instance 'nosuch'; have ('table1', 'table2')\n"
+        assert not target.exists()
 
     def test_export_without_path_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -11,11 +11,15 @@ public method there is used by other code in the package, or is allowlisted
 with the files outside `src/` that call it. The package depends on nothing
 outside the standard library, and its module-level imports of the standard
 library are pinned: each one is paid by every fresh interpreter that imports
-the package.
+the package. What only one command runs, it imports itself.
 """
 
 import ast
+import json
+import os
+import subprocess
 import sys
+import zipfile
 from collections import Counter
 from pathlib import Path
 
@@ -27,7 +31,7 @@ PACKAGE = ROOT / "src" / "metasched"
 # Definitions that no code under src/ reads, each with the files outside src/
 # that call it. The list should only shrink.
 OUTSIDE_CALLERS = {
-    "ProjectNetwork.topological_order": ("perfbench/trace.py", "demos/constrained_schedule.py"),
+    "ProjectNetwork.topological_order": ("perfbench/trace.py",),
     "validate_network": ("perfbench/workloads.py",),
     # The schedule audit the tests run on decoded schedules: safety code.
     "check_schedule": ("tests/test_serial_sgs.py", "tests/test_acceptance.py"),
@@ -143,8 +147,8 @@ def test_src_imports_only_the_standard_library():
 # Every standard-library module the package imports at module level, as
 # written. `import metasched.cli` pays for all of them in each fresh process.
 STDLIB_IMPORTS = {
-    "__future__", "argparse", "bisect", "collections", "dataclasses", "functools", "heapq", "importlib",
-    "itertools", "json", "math", "operator", "os", "pathlib", "random", "sys", "typing",
+    "__future__", "argparse", "bisect", "collections", "collections.abc", "dataclasses", "functools", "heapq",
+    "itertools", "json", "math", "operator", "os", "pathlib", "random", "sys",
 }
 
 
@@ -169,3 +173,40 @@ def test_stdlib_imports_are_pinned():
         "that runs `import metasched.cli`, which is what the benchmark's cpm-n2000 setup_s times; "
         "import it inside the function that needs it, or measure setup_s and update the pinned set"
     )
+
+
+def run_python(script: str, pythonpath: Path, cwd: Path) -> str:
+    """Run `script` in a fresh interpreter without `site`, so that no `.pth`
+    hook preloads modules and only `pythonpath` supplies the package; return
+    its stdout."""
+    env = {**os.environ, "PYTHONPATH": str(pythonpath)}
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env, cwd=cwd, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_cli_import_skips_oracle_resources_and_typing(tmp_path):
+    """The oracle runs only under `metasched oracle`, and reading a bundled
+    instance or naming a callable type needs neither `importlib.resources`
+    nor `typing`: no fresh interpreter that imports the CLI pays for them."""
+    script = (
+        "import sys, metasched.cli\n"
+        "print([m for m in ('metasched.oracle', 'importlib.resources', 'typing') if m in sys.modules])"
+    )
+    assert run_python(script, ROOT / "src", tmp_path) == "[]\n"
+
+
+def test_bundled_instances_read_from_a_zipped_package(tmp_path):
+    archive = tmp_path / "metasched.zip"
+    with zipfile.ZipFile(archive, "w") as zipped:
+        for path in sorted(PACKAGE.rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zipped.write(path, path.relative_to(PACKAGE.parent))
+    script = (
+        "import json, metasched.instances as m\n"
+        "print(json.dumps([m.__file__, m.read_bundled('table1'), m.read_bundled('table2')]))"
+    )
+    origin, *texts = json.loads(run_python(script, archive, tmp_path))
+    assert origin.startswith(str(archive))
+    bundled = PACKAGE / "instances"
+    assert texts == [(bundled / f"{name}.json").read_text(encoding="utf-8") for name in ("table1", "table2")]

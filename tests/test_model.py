@@ -76,8 +76,10 @@ class TestParseAoa:
             parse_aoa_instance('{"format": "nope", "arcs": [{}]}')
 
     def test_demand_defaults_to_one(self):
-        arcs = parse_aoa_instance('{"format": "aoa-v1", "arcs": [{"id": 1, "start": 0, "end": 1, "duration": 2}]}')
-        assert arcs[0][0].resource_demand == 1
+        # An exact-int record takes the fast path; a float id, the field-by-field one.
+        for aid in ("1", "1.0"):
+            text = '{"format": "aoa-v1", "arcs": [{"id": %s, "start": 0, "end": 1, "duration": 2}]}' % aid
+            assert parse_aoa_instance(text)[0][0].resource_demand == 1
 
     @pytest.mark.parametrize("duration", [0, 3])
     def test_self_loop_rejected_at_any_duration(self, duration):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metasched.model import Activity, ProjectNetwork
 from metasched.problems import neighbor_mode_change, rcpsp_problem, tctp_problem
 from metasched.rcpsp import neighbor_swap, order_crossover, repair_precedence
 from metasched.search import (
@@ -295,6 +296,17 @@ def test_ts_picks_by_tenure_and_aspiration(request, problem_name, sample, seed):
         assert fallbacks >= 1
 
 
+def test_ts_stops_when_no_move_exists():
+    """A chain has one activity list, so no adjacent swap keeps it feasible:
+    TS evaluates its start and stops at the first empty neighbourhood."""
+    chain = ProjectNetwork(
+        activities=tuple(Activity(id=aid, duration=2, resource_demand=1) for aid in (1, 2, 3)),
+        predecessors={1: frozenset(), 2: frozenset({1}), 3: frozenset({2})},
+    )
+    result = run_ts(rcpsp_problem(chain, 1), TsConfig(max_evaluations=100), seed=1)
+    assert (result.native_iterations, result.evaluations_used) == (1, 1)
+
+
 def test_ga_elites_survive(tctp230):
     result = run_ga(
         tctp230, GaConfig(population_size=20, max_evaluations=600), seed=4
@@ -318,6 +330,9 @@ def test_ga_elites_survive(tctp230):
         (SaConfig, {"initial_temperature": math.inf}),
         (GaConfig, {"population_size": 4, "tournament_size": 5}),
         (GaConfig, {"population_size": 1, "elitism_count": 0}),
+        (SaConfig, {"initial_temperature": 10**400}),
+        (GaConfig, {"population_size": 0}),
+        (GaConfig, {"mutation_rate": 2.0}),
     ],
 )
 def test_config_validation(config_cls, kwargs):
