@@ -9,17 +9,15 @@ from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 from .instances import load_network, load_tctp
-from .model import InstanceError, load_json
+from .model import InstanceError, admits, checked, load_json
 from .problems import rcpsp_problem, tctp_problem
 from .search import GaConfig, RunResult, SaConfig, SearchProblem, TsConfig, run_ga, run_sa, run_ts
 from .tctp import ParetoArchive, archive_insert
 
 # The search algorithms by name: (config type, runner).
 ALGORITHMS = {"sa": (SaConfig, run_sa), "ts": (TsConfig, run_ts), "ga": (GaConfig, run_ga)}
-# JSON value types admitted by each name in a field annotation.
-_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "None": type(None), "list": list}
 # A spec's keys, at its top level and in its `problem` object, each with the
-# annotation its value must meet; "" marks an object `_checked` on its own.
+# annotation its value must meet; "" marks an object `checked` on its own.
 _SPEC_KEYS = {"problem": "", "configs": "", "seeds": "list", "algorithms": "list", "base_seed": "int", "runs": "int",
               "max_evaluations": "int"}
 _PROBLEM_KEYS = {"kind": "str", "instance": "str", "capacity": "int | None", "indirect_cost": "int | None"}
@@ -58,17 +56,19 @@ class ExperimentSpec:
             raise InstanceError("rcpsp experiments require a capacity")
         if self.problem_kind == "tctp" and self.indirect_cost is None:
             raise InstanceError("tctp experiments require an indirect cost")
+        foreign = "indirect_cost" if self.problem_kind == "rcpsp" else "capacity"
+        if getattr(self, foreign) is not None:
+            raise InstanceError(f"{self.problem_kind} experiments take no {foreign!r}")
 
     @classmethod
     def from_json(cls, document: str) -> "ExperimentSpec":
-        data = _checked("experiment spec", load_json(document, "malformed experiment spec"), _SPEC_KEYS)
+        data = checked("experiment spec", load_json(document, "malformed experiment spec"), _SPEC_KEYS)
         if "problem" not in data:
             raise InstanceError("experiment spec needs a 'problem' object")
-        problem = _checked("experiment spec problem", data["problem"], _PROBLEM_KEYS)
-        missing = [key for key in ("kind", "instance") if key not in problem]
-        if missing:
-            raise InstanceError(f"experiment spec 'problem' lacks {missing}")
+        problem = checked("experiment spec problem", data["problem"], _PROBLEM_KEYS, required=("kind", "instance"))
         seeds = data.get("seeds")
+        if seeds is not None and data.keys() & {"base_seed", "runs"}:
+            raise InstanceError("experiment spec takes 'seeds' or 'base_seed'/'runs', not both")
         wanted = data.get("runs", 10) if seeds is None else len(seeds)
         if wanted > MAX_SEEDS:
             raise InstanceError(f"at most {MAX_SEEDS} seeds per experiment, got {wanted}")
@@ -76,7 +76,7 @@ class ExperimentSpec:
             seeds = list(range(data["base_seed"], data["base_seed"] + wanted))
         if seeds is None:
             raise InstanceError("experiment spec needs 'seeds' or 'base_seed'/'runs'")
-        if not all(_admits(s, int) for s in seeds):
+        if not all(admits(s, int) for s in seeds):
             raise InstanceError(f"malformed experiment spec: 'seeds' must be a list of int, got {seeds!r}")
         sections = data.get("configs", {})
         configs = algorithm_configs(sections)
@@ -97,36 +97,14 @@ class ExperimentSpec:
 
 def algorithm_configs(sections, overrides: dict[str, dict] | None = None) -> dict:
     """SA, TS and GA configs from a JSON object of per-algorithm sections,
-    each section's keys updated by `overrides[name]`; `_checked` refuses
+    each section's keys updated by `overrides[name]`; `checked` refuses
     `sections` or a section it does not admit."""
-    _checked("algorithm config", sections, dict.fromkeys(ALGORITHMS, ""), noun="sections")
+    checked("algorithm config", sections, dict.fromkeys(ALGORITHMS, ""), noun="sections")
     configs = {}
     for name, (config_type, _) in ALGORITHMS.items():
-        section = _checked(f"{name} config", sections.get(name, {}), {f.name: f.type for f in fields(config_type)})
+        section = checked(f"{name} config", sections.get(name, {}), {f.name: f.type for f in fields(config_type)})
         configs[name] = config_type(**{**section, **(overrides or {}).get(name, {})})
     return configs
-
-
-def _checked(label: str, value, annotations: dict[str, str], noun: str = "keys") -> dict:
-    """`value`, when it is a JSON object whose every key `annotations` names
-    and whose every value has a type the key's annotation, such as
-    `float | None`, admits ("" admits any value); else `InstanceError`."""
-    if not isinstance(value, dict):
-        raise InstanceError(f"{label} must be an object, got {value!r}")
-    unknown = sorted(value.keys() - annotations.keys())
-    if unknown:
-        raise InstanceError(f"unknown {label} {noun} {unknown}")
-    for key, item in value.items():
-        kinds = annotations[key]
-        if kinds and not _admits(item, *(_FIELD_TYPES[name] for name in kinds.split(" | "))):
-            raise InstanceError(f"{label} {key!r} must be {kinds}, got {item!r}")
-    return value
-
-
-def _admits(value, *types) -> bool:
-    """Whether JSON `value` has one of `types`. bool is a subclass of int:
-    admit it only where `types` names bool."""
-    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,12 @@ from itertools import islice
 
 AOA_FORMAT = "aoa-v1"
 TCTP_FORMAT = "tctp-v1"
+# JSON value types admitted by each name in a field annotation.
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "None": type(None), "list": list}
+# The keys of an instance record, each with the annotation its value must meet.
+_ARC_FIELDS = dict.fromkeys(("id", "start", "end", "duration", "demand"), "int")
+_ACTIVITY_FIELDS = {"id": "int", "depends": "list", "options": "list"}
+_OPTION_FIELDS = {"duration": "int", "cost": "int"}
 
 
 class InstanceError(ValueError):
@@ -252,15 +258,14 @@ def parse_aoa_instance(document: str) -> tuple[tuple[Activity, int, int], ...]:
     """Parse an activity-on-arrow instance document into (activity, start
     node, end node) arcs, order preserved."""
     arcs = []
-    for rec in _records(load_json(document), AOA_FORMAT, "arcs"):
-        exact = type(rec) is dict  # the common record: five exact ints, so no bool
+    for i, rec in enumerate(_records(load_json(document), AOA_FORMAT, "arcs")):
+        exact = type(rec) is dict and len(rec) == 4 + ("demand" in rec)  # the common record: its fields, exact ints
         if exact:
             aid, start, end = rec.get("id"), rec.get("start"), rec.get("end")
             duration, demand = rec.get("duration"), rec.get("demand", 1)
             exact = type(aid) is type(start) is type(end) is type(duration) is type(demand) is int
-        if not exact:  # anything else converts field by field and names the first bad one
-            aid, start, end, duration = (_int_field(rec, key) for key in ("id", "start", "end", "duration"))
-            demand = _int_field(rec, "demand", default=1)
+        if not exact:  # JSON has no other ints, so the checker refuses it and names the first bad key
+            checked(f"arcs[{i}]", rec, _ARC_FIELDS, required=("id", "start", "end", "duration"))
         activity = Activity(aid, duration, demand)
         if start == end:
             raise InstanceError(f"activity {aid}: self-loop at node {start}")
@@ -281,31 +286,30 @@ def parse_tctp_instance(document: str | dict, indirect_cost_override: int | None
     if indirect_cost_override is not None:
         indirect = indirect_cost_override
     elif "indirect_cost_per_day" in data:
-        indirect = _as_int(data["indirect_cost_per_day"], "indirect_cost_per_day")
+        indirect = data["indirect_cost_per_day"]
+        if not admits(indirect, int):
+            raise InstanceError(f"'indirect_cost_per_day' must be int, got {indirect!r}")
     else:
         raise InstanceError("indirect cost required (file field or override)")
 
     activities = []
     predecessors: dict[int, frozenset[int]] = {}
     options: dict[int, tuple[ActivityOption, ...]] = {}
-    for rec in records:
-        aid = _int_field(rec, "id")
-        deps = rec.get("depends", [])
-        if not isinstance(deps, list):
-            raise InstanceError(f"activity {aid}: 'depends' must be a list")
-        opts = rec.get("options")
-        if not isinstance(opts, list) or not opts:
+    for i, rec in enumerate(records):
+        label = f"activities[{i}]"
+        checked(label, rec, _ACTIVITY_FIELDS, required=("id", "options"))
+        aid, deps, opts = rec["id"], rec.get("depends", []), rec["options"]
+        if not all(admits(d, int) for d in deps):
+            raise InstanceError(f"{label} 'depends' must be a list of int, got {deps!r}")
+        if not opts:
             raise InstanceError(f"activity {aid}: missing options")
-        parsed = tuple(
-            ActivityOption(
-                duration=_int_field(o, "duration"), direct_cost=_int_field(o, "cost")
-            )
-            for o in opts
-        )
+        for j, o in enumerate(opts):
+            checked(f"{label}.options[{j}]", o, _OPTION_FIELDS, required=("duration", "cost"))
+        parsed = tuple(ActivityOption(duration=o["duration"], direct_cost=o["cost"]) for o in opts)
         # Network durations default to the first option; evaluation always
         # substitutes the chosen option's duration.
         activities.append(Activity(id=aid, duration=parsed[0].duration))
-        predecessors[aid] = frozenset(_as_int(d, f"activity {aid} dependency") for d in deps)
+        predecessors[aid] = frozenset(deps)
         options[aid] = parsed
 
     net = ProjectNetwork(activities=tuple(activities), predecessors=predecessors)
@@ -325,6 +329,33 @@ def load_json(document: str, label: str = "malformed document") -> dict:
     return data
 
 
+def checked(
+    label: str, value, annotations: dict[str, str], noun: str = "keys", required: tuple[str, ...] = ()
+) -> dict:
+    """`value`, when it is a JSON object that holds every key in `required`,
+    whose every key `annotations` names and whose every value has a type the
+    key's annotation, such as `float | None`, admits ("" admits any value);
+    else `InstanceError`, its message led by `label`."""
+    if not isinstance(value, dict):
+        raise InstanceError(f"{label} must be an object, got {value!r}")
+    unknown = sorted(value.keys() - annotations.keys())
+    if unknown:
+        raise InstanceError(f"unknown {label} {noun} {unknown}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise InstanceError(f"{label} lacks {missing}")
+    for key, item in value.items():
+        kinds = annotations[key]
+        if kinds and not admits(item, *(_FIELD_TYPES[name] for name in kinds.split(" | "))):
+            raise InstanceError(f"{label} {key!r} must be {kinds}, got {item!r}")
+    return value
+
+
+def admits(value, *types) -> bool:
+    """Whether JSON `value` has one of `types`; bool, a subclass of int, never does."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def _records(data: dict, format: str, key: str) -> list:
     """The record list under `key` of a `format` document; a wrong format
     tag, or no records, is refused."""
@@ -334,23 +365,3 @@ def _records(data: dict, format: str, key: str) -> list:
     if not isinstance(records, list) or not records:
         raise InstanceError("empty instance")
     return records
-
-
-def _as_int(value, label: str) -> int:
-    if isinstance(value, bool):
-        raise InstanceError(f"{label}: expected integer, got bool")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise InstanceError(f"{label}: expected integer, got {value!r}")
-
-
-def _int_field(record: dict, key: str, default: int | None = None) -> int:
-    if not isinstance(record, dict):
-        raise InstanceError(f"expected an object with field {key!r}, got {record!r}")
-    if key not in record:
-        if default is not None:
-            return default
-        raise InstanceError(f"missing required field {key!r} in {record!r}")
-    return _as_int(record[key], key)

@@ -136,9 +136,9 @@ def exhaustive_rcpsp(
     if horizon > guard.max_states:
         raise OracleLimitError(f"horizon {horizon} exceeds state budget {guard.max_states}")
     best: int | None = None
-    seen_schedules: set[tuple[tuple[int, int], ...]] = set()
     states = 0
     preds = {aid: set(net.predecessors.get(aid, ())) for aid in ids}
+    durations = {a.id: a.duration for a in net.activities}
 
     def recurse(order: list[int], done: set[int]) -> None:
         nonlocal best, states
@@ -147,11 +147,6 @@ def exhaustive_rcpsp(
             raise OracleLimitError(f"state budget {guard.max_states} exceeded")
         if len(order) == len(ids):
             starts = oracle_serial_sgs(net, capacity, tuple(order))
-            key = tuple(sorted(starts.items()))
-            if key in seen_schedules:
-                return
-            seen_schedules.add(key)
-            durations = {a.id: a.duration for a in net.activities}
             makespan = max(starts[aid] + durations[aid] for aid in ids)
             if best is None or makespan < best:
                 best = makespan

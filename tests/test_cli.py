@@ -91,17 +91,20 @@ BOUNDED = {"max_evaluations": st.integers(1, 30) | NOT_INTS, "runs": st.integers
 
 @st.composite
 def bench_specs(draw):
-    """Bench specs grown from a small valid one: in its top level, its
-    `problem` and its `configs` sections, keys are dropped, values are
-    replaced by arbitrary JSON values and unknown keys are added."""
+    """Bench specs grown from a small valid one, its seeds given as a list
+    or as `base_seed`/`runs`: in its top level, its `problem` and its
+    `configs` sections, keys are dropped, values are replaced by arbitrary
+    JSON values and unknown keys are added."""
     problem = draw(st.sampled_from([
         {"kind": "rcpsp", "instance": "table1", "capacity": 7},
         {"kind": "tctp", "instance": "table2", "indirect_cost": 230},
     ]))
     sections = {"sa": {"steps_per_temperature": 5}, "ts": {"tabu_tenure": 3}, "ga": {"population_size": 6}}
+    # One source of seeds, now and then both (refused).
+    seed_sources = [{"seeds": [1, 2]}, {"base_seed": 1, "runs": 2}]
+    seeds = draw(st.sampled_from(seed_sources)) if draw(st.integers(0, 9)) else {**seed_sources[0], **seed_sources[1]}
     spec = {
-        "problem": dict(problem), "seeds": [1, 2], "base_seed": 1, "runs": 2, "max_evaluations": 20,
-        "algorithms": ["sa", "ts", "ga"], "configs": sections,
+        "problem": dict(problem), **seeds, "max_evaluations": 20, "algorithms": ["sa", "ts", "ga"], "configs": sections,
     }
     for record in (spec, spec["problem"], *sections.values()):
         for key in sorted(record):
@@ -113,6 +116,14 @@ def bench_specs(draw):
         if draw(st.integers(0, 9)) == 0:
             record[draw(st.text(max_size=4).filter(lambda key: key not in record))] = draw(JSON_VALUES)
     return spec
+
+
+def _tctp(fault: dict | None = None, option: dict | None = None, indirect=1) -> dict:
+    """A tctp-v1 document of two activities, with `fault` updating the
+    second one's record and `option` that record's first option."""
+    second = {"id": 2, "options": [{"duration": 2, "cost": 5, **(option or {})}]}
+    activities = [{"id": 1, "options": [{"duration": 1, "cost": 3}]}, {**second, **(fault or {})}]
+    return {"format": "tctp-v1", "indirect_cost_per_day": indirect, "activities": activities}
 
 
 class TestCpmCommand:
@@ -190,6 +201,29 @@ class TestRcpspCommand:
         assert "makespan: 1000000000" in out
         assert "peak usage: 4" in out
         assert elapsed < 0.5
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ({"dmand": 5}, "unknown arcs[1] keys ['dmand']"),
+            *(
+                ({key: 2.0}, f"arcs[1] {key!r} must be int, got 2.0")
+                for key in ("id", "start", "end", "duration", "demand")
+            ),
+        ],
+        ids=["misspelt-demand", "float-id", "float-start", "float-end", "float-duration", "float-demand"],
+    )
+    def test_misspelt_or_float_arc_field_is_domain_error(self, capsys, tmp_path, fault, message):
+        arcs = [
+            {"id": 1, "start": 0, "end": 1, "duration": 2},
+            {"id": 2, "start": 1, "end": 2, "duration": 3},
+            {"id": 3, "start": 2, "end": 3, "duration": 4},
+        ]
+        arcs[1].update(fault)
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"format": "aoa-v1", "arcs": arcs}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "rcpsp", "--instance", str(path), "--capacity", "3", "--list", "1,2,3")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_search_run_json(self, capsys):
         code, out, _ = run_cli(
@@ -303,11 +337,22 @@ class TestTctpCommand:
                     {"duration": 2, "cost": 5}]}]},
                 "negative indirect cost",
             ),
+            (_tctp({"depend": [1]}), "error: unknown activities[1] keys ['depend']"),
+            (_tctp(option={"costs": 5}), "error: unknown activities[1].options[0] keys ['costs']"),
+            (_tctp(option={"cost": None}), "error: activities[1].options[0] 'cost' must be int, got None"),
+            (_tctp({"options": [{"duration": 2}]}), "error: activities[1].options[0] lacks ['cost']"),
+            (_tctp({"id": 2.0}), "error: activities[1] 'id' must be int, got 2.0"),
+            (_tctp({"depends": [1.0]}), "error: activities[1] 'depends' must be a list of int, got [1.0]"),
+            (_tctp(option={"duration": 2.0}), "error: activities[1].options[0] 'duration' must be int, got 2.0"),
+            (_tctp(option={"cost": 5.0}), "error: activities[1].options[0] 'cost' must be int, got 5.0"),
+            (_tctp(indirect=1.0), "error: 'indirect_cost_per_day' must be int, got 1.0"),
         ],
         ids=[
             "top-level-number", "activity-not-an-object", "option-not-an-object", "zero-option-duration",
             "negative-option-cost", "six-options", "not-json", "integer-past-the-digit-limit",
-            "negative-indirect-cost",
+            "negative-indirect-cost", "misspelt-depends", "misspelt-option-cost", "null-option-cost",
+            "option-lacks-cost", "float-id", "float-dependency", "float-option-duration", "float-option-cost",
+            "float-indirect-cost",
         ],
     )
     def test_malformed_instance_is_domain_error(self, capsys, tmp_path, document, message):
@@ -778,6 +823,25 @@ class TestBenchCommand:
                 {"problem": {"kind": "tctp", "instance": "table2", "indirect_cost": 230}, "seeds": []},
                 "at least one seed required",
             ),
+            (
+                {"problem": {"kind": "tctp", "instance": "table2", "indirect_cost": 230}, "seeds": [1],
+                 "base_seed": 5, "runs": 40},
+                "experiment spec takes 'seeds' or 'base_seed'/'runs', not both",
+            ),
+            (
+                {"problem": {"kind": "rcpsp", "instance": "table1", "capacity": 7}, "seeds": [1], "runs": 2},
+                "experiment spec takes 'seeds' or 'base_seed'/'runs', not both",
+            ),
+            (
+                {"problem": {"kind": "tctp", "instance": "table2", "indirect_cost": 230, "capacity": 7},
+                 "seeds": [1]},
+                "tctp experiments take no 'capacity'",
+            ),
+            (
+                {"problem": {"kind": "rcpsp", "instance": "table1", "capacity": 7, "indirect_cost": 230},
+                 "seeds": [1]},
+                "rcpsp experiments take no 'indirect_cost'",
+            ),
         ],
         ids=[
             "no-problem", "no-instance", "no-kind", "unknown-config-key", "record-moves", "unknown-config-section",
@@ -788,7 +852,8 @@ class TestBenchCommand:
             "no-algorithms", "seeds-a-string", "seed-a-float", "seed-a-bool",
             "max-evaluations-a-string", "max-evaluations-a-float", "max-evaluations-a-bool",
             "base-seed-a-string", "runs-a-float", "runs-a-bool", "algorithms-a-string",
-            "not-json", "unknown-key", "unknown-problem-key", "unknown-kind", "no-seeds",
+            "not-json", "unknown-key", "unknown-problem-key", "unknown-kind", "no-seeds", "seeds-and-base-seed",
+            "seeds-and-runs", "capacity-in-tctp", "indirect-cost-in-rcpsp",
         ],
     )
     def test_malformed_spec_is_domain_error(self, capsys, tmp_path, spec, message):

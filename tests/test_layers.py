@@ -110,10 +110,34 @@ def unreferenced_definitions(trees: dict[str, ast.Module]) -> set[str]:
 
 @pytest.mark.parametrize(
     "module, allowed",
-    [("search", {".tctp"}), ("oracle", {".model"}), ("cpm", {".model"}), ("tctp", set())],
+    [("search", {".tctp"}), ("oracle", {".model"}), ("cpm", {".model"}), ("tctp", set()), ("model", set())],
 )
 def test_package_imports(module, allowed):
     assert package_imports(module) <= allowed
+
+
+def calls(tree: ast.AST, name: str):
+    """Each call under `tree` to the function or method `name`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name:
+                yield node
+
+
+def test_one_module_reads_json():
+    """`model.py` owns how a JSON value is read: only it decodes JSON text,
+    and its checker is the one place that tells a bool from an int."""
+    trees = package_trees()
+    decoders = sorted(module for module, tree in trees.items() for _ in calls(tree, "loads"))
+    assert decoders == ["model.py"]
+    bool_tests = [
+        module
+        for module, tree in trees.items()
+        for call in calls(tree, "isinstance")
+        if len(call.args) == 2 and "bool" in {node.id for node in ast.walk(call.args[1]) if isinstance(node, ast.Name)}
+    ]
+    assert bool_tests == ["model.py"]
 
 
 def test_src_holds_only_what_src_reads():

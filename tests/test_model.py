@@ -9,11 +9,14 @@ from metasched.instances import read_bundled
 from metasched.model import (
     AOA_FORMAT,
     Activity,
+    ActivityOption,
     InstanceError,
     ProjectNetwork,
+    TctpInstance,
     derive_precedence_from_nodes,
     induced_subnetwork,
     parse_aoa_instance,
+    checked,
     parse_tctp_instance,
     validate_network,
 )
@@ -76,10 +79,11 @@ class TestParseAoa:
             parse_aoa_instance('{"format": "nope", "arcs": [{}]}')
 
     def test_demand_defaults_to_one(self):
-        # An exact-int record takes the fast path; a float id, the field-by-field one.
-        for aid in ("1", "1.0"):
-            text = '{"format": "aoa-v1", "arcs": [{"id": %s, "start": 0, "end": 1, "duration": 2}]}' % aid
-            assert parse_aoa_instance(text)[0][0].resource_demand == 1
+        text = '{"format": "aoa-v1", "arcs": [{"id": 1, "start": 0, "end": 1, "duration": 2}]}'
+        assert parse_aoa_instance(text)[0][0].resource_demand == 1
+        with pytest.raises(InstanceError) as exc:  # an integral float is not an integer
+            parse_aoa_instance(text.replace('"id": 1', '"id": 1.0'))
+        assert str(exc.value) == "arcs[0] 'id' must be int, got 1.0"
 
     @pytest.mark.parametrize("duration", [0, 3])
     def test_self_loop_rejected_at_any_duration(self, duration):
@@ -96,8 +100,10 @@ class TestParseAoa:
     @pytest.mark.parametrize(
         "fault, message",
         [
-            ({"duration": "5"}, "duration: expected integer, got '5'"),
-            ({"start": True}, "start: expected integer, got bool"),
+            ({"duration": "5"}, "arcs[1] 'duration' must be int, got '5'"),
+            ({"start": True}, "arcs[1] 'start' must be int, got True"),
+            ({"demand": 2.0}, "arcs[1] 'demand' must be int, got 2.0"),
+            ({"dmand": 5}, "unknown arcs[1] keys ['dmand']"),
             ({"id": 0}, "activity id must be positive, got 0"),
             ({"duration": -1}, "activity 2: negative duration -1"),
             ({"demand": -1}, "activity 2: negative demand -1"),
@@ -107,7 +113,10 @@ class TestParseAoa:
             # Two faults in one record: the activity's own check comes first.
             ({"id": 0, "duration": -1}, "activity id must be positive, got 0"),
         ],
-        ids=["field-type", "bool", "id", "duration", "demand", "self-loop", "duplicate", "cycle", "id-and-duration"],
+        ids=[
+            "field-type", "bool", "integral-float", "misspelt-key", "id", "duration", "demand", "self-loop", "duplicate",
+            "cycle", "id-and-duration",
+        ],
     )
     def test_fault_message(self, fault, message):
         arcs = [
@@ -122,35 +131,15 @@ class TestParseAoa:
 
 
 def _reference_arcs(records: list) -> tuple[tuple[Activity, int, int], ...]:
-    """The aoa-v1 record loop without the exact-int fast path: every field
-    converted on its own, the first bad one named, then the activity and the
-    self-loop check."""
-
-    def as_int(value, label):
-        if isinstance(value, bool):
-            raise InstanceError(f"{label}: expected integer, got bool")
-        if isinstance(value, int):
-            return value
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        raise InstanceError(f"{label}: expected integer, got {value!r}")
-
-    def int_field(record, key, default=None):
-        if not isinstance(record, dict):
-            raise InstanceError(f"expected an object with field {key!r}, got {record!r}")
-        if key not in record:
-            if default is not None:
-                return default
-            raise InstanceError(f"missing required field {key!r} in {record!r}")
-        return as_int(record[key], key)
-
+    """The aoa-v1 record loop without the exact-int fast path: every record
+    read through the checker, then the activity and the self-loop check."""
     arcs = []
-    for rec in records:
-        aid, start, end = int_field(rec, "id"), int_field(rec, "start"), int_field(rec, "end")
-        activity = Activity(aid, int_field(rec, "duration"), int_field(rec, "demand", default=1))
-        if start == end:
-            raise InstanceError(f"activity {aid}: self-loop at node {start}")
-        arcs.append((activity, start, end))
+    for i, rec in enumerate(records):
+        checked(f"arcs[{i}]", rec, dict.fromkeys(ARC_KEYS, "int"), required=ARC_KEYS[:4])
+        activity = Activity(rec["id"], rec["duration"], rec.get("demand", 1))
+        if rec["start"] == rec["end"]:
+            raise InstanceError(f"activity {rec['id']}: self-loop at node {rec['start']}")
+        arcs.append((activity, rec["start"], rec["end"]))
     return tuple(arcs)
 
 
@@ -163,13 +152,15 @@ FIELD_VALUES = st.one_of(
     st.none(),
 )
 ARC_KEYS = ("id", "start", "end", "duration", "demand")
+# Keys the aoa-v1 format does not define.
+UNKNOWN_KEYS = ("dmand", "name", "")
 
 
 @st.composite
 def arc_records(draw):
     """Exact-int records with up to two fields spoilt (dropped, or set to any
-    other value), the boundary between the two parse paths; now and then a
-    record that is not an object."""
+    other value) and now and then an unknown key added, the boundary between
+    the two parse paths; now and then a record that is not an object."""
     if draw(st.integers(0, 9)) == 0:
         return draw(FIELD_VALUES | st.lists(FIELD_VALUES, max_size=2))
     record = {key: draw(st.integers(0, 6)) for key in ARC_KEYS}
@@ -178,6 +169,8 @@ def arc_records(draw):
             del record[key]
         else:
             record[key] = draw(FIELD_VALUES)
+    if draw(st.integers(0, 4)) == 0:
+        record[draw(st.sampled_from(UNKNOWN_KEYS))] = draw(FIELD_VALUES)
     return record
 
 
@@ -239,6 +232,22 @@ class TestParseTctp:
         doc = json.dumps({"format": "tctp-v1", "indirect_cost_per_day": 0, "activities": activities})
         with pytest.raises(InstanceError, match=message):
             parse_tctp_instance(doc)
+
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({1: (), 2: (ActivityOption(1, 1),)}, "activity 1 has no options"),
+            ({1: (ActivityOption(1, 1),), 2: (ActivityOption(1, 1),), 3: (ActivityOption(1, 1),)},
+             "options do not cover exactly the network's activities"),
+        ],
+        ids=["empty-options", "option-outside-the-network"],
+    )
+    def test_instance_built_directly_checks_its_options(self, options, message):
+        net = ProjectNetwork(activities=(Activity(1, 1), Activity(2, 1)), predecessors={})
+        with pytest.raises(InstanceError) as exc:
+            TctpInstance(network=net, options=options, indirect_cost_per_day=0)
+        assert str(exc.value) == message
 
 
 class TestValidateNetwork:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -65,6 +66,14 @@ class TestExhaustiveTctp:
         with pytest.raises(OracleLimitError, match="exceeds"):
             exhaustive_tctp(table2)
 
+    def test_state_budget_enforced(self, table2_sub6):
+        combos = 1
+        for opts in table2_sub6.options.values():
+            combos *= len(opts)
+        with pytest.raises(OracleLimitError) as exc:
+            exhaustive_tctp(table2_sub6, OracleGuard(max_states=10))
+        assert str(exc.value) == f"{combos} combinations exceed state budget 10"
+
 
 class TestExhaustiveRcpsp:
     def test_reduced_instance_capacity3(self, table1_sub8):
@@ -93,6 +102,26 @@ class TestExhaustiveRcpsp:
         with pytest.raises(OracleLimitError) as exc:
             exhaustive_rcpsp(table1_sub8, 3, OracleGuard(max_activities=8, max_states=horizon))
         assert str(exc.value) == f"state budget {horizon} exceeded"
+
+    def test_cyclic_network_has_no_order(self):
+        net = ProjectNetwork(
+            activities=(Activity(1, 2), Activity(2, 3)),
+            predecessors={1: frozenset({2}), 2: frozenset({1})},
+        )
+        with pytest.raises(OracleLimitError, match="no feasible topological order"):
+            exhaustive_rcpsp(net, 1)
+
+    def test_memory_does_not_grow_with_the_leaves(self):
+        # 720 activity lists of six independent activities decode to as many
+        # distinct schedules; the search keeps none of them.
+        net = ProjectNetwork(activities=tuple(Activity(aid, 1) for aid in range(1, 7)), predecessors={})
+        tracemalloc.start()
+        try:
+            assert exhaustive_rcpsp(net, 1) == 6
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     @pytest.mark.parametrize("horizon", [100, 101])
     def test_horizon_within_state_budget(self, horizon):

@@ -118,6 +118,8 @@ def test_check_schedule_reports_all_violation_kinds(table1):
     assert any("predecessor" in v for v in report)
     missing = Schedule(start_times={1: 0}, makespan=20)
     assert any("unscheduled" in v for v in check_schedule(table1, missing, 7))
+    late = Schedule(start_times=good.start_times, makespan=good.makespan + 1)
+    assert check_schedule(table1, late, 7) == [f"recorded makespan {good.makespan + 1} != actual {good.makespan}"]
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,7 +11,9 @@ from metasched.problems import neighbor_mode_change, rcpsp_problem, tctp_problem
 from metasched.rcpsp import neighbor_swap, order_crossover, repair_precedence
 from metasched.search import (
     GaConfig,
+    Move,
     SaConfig,
+    SearchProblem,
     TsConfig,
     run_ga,
     run_sa,
@@ -305,6 +307,26 @@ def test_ts_stops_when_no_move_exists():
     )
     result = run_ts(rcpsp_problem(chain, 1), TsConfig(max_evaluations=100), seed=1)
     assert (result.native_iterations, result.evaluations_used) == (1, 1)
+
+
+def test_ts_kick_stops_when_no_move_exists():
+    """Candidates (0,), (1,), (2,) on a path, all of one fitness: the first
+    move improves nothing, so the kick starts at (1,), takes the one move to
+    (2,), finds no move there and evaluates (2,); the next iteration finds
+    no move either and TS stops."""
+
+    def neighborhood(candidate):
+        return [Move(candidate, candidate, (candidate[0] + 1,))] if candidate[0] < 2 else []
+
+    def unused(*args):
+        raise AssertionError("TS draws only initial, evaluate and neighborhood")
+
+    path = SearchProblem(
+        initial=lambda rng: (0,), evaluate=lambda candidate: (5, 5, 0), neighbor=unused,
+        neighborhood=neighborhood, crossover=unused, mutate=unused,
+    )
+    result = run_ts(path, TsConfig(stagnation_limit=1, max_evaluations=100), seed=1)
+    assert (result.native_iterations, result.evaluations_used, result.best) == (2, 3, (0,))
 
 
 def test_ga_elites_survive(tctp230):
