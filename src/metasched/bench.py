@@ -9,7 +9,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 from .instances import load_network, load_tctp
-from .model import InstanceError, admits, checked, load_json
+from .model import InstanceError, checked, load_json
 from .problems import rcpsp_problem, tctp_problem
 from .search import GaConfig, RunResult, SaConfig, SearchProblem, TsConfig, run_ga, run_sa, run_ts
 from .tctp import ParetoArchive, archive_insert
@@ -18,8 +18,8 @@ from .tctp import ParetoArchive, archive_insert
 ALGORITHMS = {"sa": (SaConfig, run_sa), "ts": (TsConfig, run_ts), "ga": (GaConfig, run_ga)}
 # A spec's keys, at its top level and in its `problem` object, each with the
 # annotation its value must meet; "" marks an object `checked` on its own.
-_SPEC_KEYS = {"problem": "", "configs": "", "seeds": "list", "algorithms": "list", "base_seed": "int", "runs": "int",
-              "max_evaluations": "int"}
+_SPEC_KEYS = {"problem": "", "configs": "", "seeds": "list[int]", "algorithms": "list", "base_seed": "int",
+              "runs": "int", "max_evaluations": "int"}
 _PROBLEM_KEYS = {"kind": "str", "instance": "str", "capacity": "int | None", "indirect_cost": "int | None"}
 # Most seeds (`runs`) one experiment takes: each algorithm runs once per seed.
 MAX_SEEDS = 10_000
@@ -62,9 +62,8 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, document: str) -> "ExperimentSpec":
-        data = checked("experiment spec", load_json(document, "malformed experiment spec"), _SPEC_KEYS)
-        if "problem" not in data:
-            raise InstanceError("experiment spec needs a 'problem' object")
+        data = load_json(document, "malformed experiment spec")
+        checked("experiment spec", data, _SPEC_KEYS, required=("problem",))
         problem = checked("experiment spec problem", data["problem"], _PROBLEM_KEYS, required=("kind", "instance"))
         seeds = data.get("seeds")
         if seeds is not None and data.keys() & {"base_seed", "runs"}:
@@ -76,8 +75,6 @@ class ExperimentSpec:
             seeds = list(range(data["base_seed"], data["base_seed"] + wanted))
         if seeds is None:
             raise InstanceError("experiment spec needs 'seeds' or 'base_seed'/'runs'")
-        if not all(admits(s, int) for s in seeds):
-            raise InstanceError(f"malformed experiment spec: 'seeds' must be a list of int, got {seeds!r}")
         sections = data.get("configs", {})
         configs = algorithm_configs(sections)
         budgeted = [name for name in ALGORITHMS if "max_evaluations" in sections.get(name, {})]
@@ -186,14 +183,11 @@ def pooled_front(runs: list[RunResult]) -> tuple[tuple[int, int, tuple[str, ...]
     archive holds the point, and `candidate` is the first such run's.
     """
     front = ParetoArchive()
+    contributors: dict[tuple[int, int], set[str]] = {}
     for run in runs:
         for p in run.archive.points:
             front = archive_insert(front, p)
-    contributors = {p.objectives: set() for p in front.points}
-    for run in runs:
-        for p in run.archive.points:
-            if p.objectives in contributors:
-                contributors[p.objectives].add(run.algorithm)
+            contributors.setdefault(p.objectives, set()).add(run.algorithm)
     return tuple((*p.objectives, tuple(sorted(contributors[p.objectives])), p.modes) for p in front.points)
 
 
@@ -212,8 +206,17 @@ def write_csv(destination: str | Path, header: str, rows) -> None:
 
 
 def csv_text(header: str, rows) -> str:
-    """`header`, then each row's fields comma-joined, one line each."""
-    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+    """`header`, then each row's fields comma-joined, one line each; a field
+    that holds a comma, a quote or a line break is quoted, its quotes doubled
+    (RFC 4180)."""
+    return "\n".join([header, *(",".join(map(_csv_field, row)) for row in rows)]) + "\n"
+
+
+def _csv_field(value) -> str:
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def export_front_csv(report: ExperimentReport, destination: str | Path) -> None:

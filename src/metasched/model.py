@@ -11,10 +11,10 @@ from itertools import islice
 AOA_FORMAT = "aoa-v1"
 TCTP_FORMAT = "tctp-v1"
 # JSON value types admitted by each name in a field annotation.
-_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "None": type(None), "list": list}
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "None": type(None), "list": list, "list[int]": list}
 # The keys of an instance record, each with the annotation its value must meet.
 _ARC_FIELDS = dict.fromkeys(("id", "start", "end", "duration", "demand"), "int")
-_ACTIVITY_FIELDS = {"id": "int", "depends": "list", "options": "list"}
+_ACTIVITY_FIELDS = {"id": "int", "depends": "list[int]", "options": "list"}
 _OPTION_FIELDS = {"duration": "int", "cost": "int"}
 
 
@@ -299,10 +299,8 @@ def parse_tctp_instance(document: str | dict, indirect_cost_override: int | None
         label = f"activities[{i}]"
         checked(label, rec, _ACTIVITY_FIELDS, required=("id", "options"))
         aid, deps, opts = rec["id"], rec.get("depends", []), rec["options"]
-        if not all(admits(d, int) for d in deps):
-            raise InstanceError(f"{label} 'depends' must be a list of int, got {deps!r}")
         if not opts:
-            raise InstanceError(f"activity {aid}: missing options")
+            raise InstanceError(f"activity {aid} has no options")
         for j, o in enumerate(opts):
             checked(f"{label}.options[{j}]", o, _OPTION_FIELDS, required=("duration", "cost"))
         parsed = tuple(ActivityOption(duration=o["duration"], direct_cost=o["cost"]) for o in opts)
@@ -334,8 +332,8 @@ def checked(
 ) -> dict:
     """`value`, when it is a JSON object that holds every key in `required`,
     whose every key `annotations` names and whose every value has a type the
-    key's annotation, such as `float | None`, admits ("" admits any value);
-    else `InstanceError`, its message led by `label`."""
+    key's annotation, such as `float | None` or `list[int]`, admits ("" admits
+    any value); else `InstanceError`, its message led by `label`."""
     if not isinstance(value, dict):
         raise InstanceError(f"{label} must be an object, got {value!r}")
     unknown = sorted(value.keys() - annotations.keys())
@@ -346,7 +344,9 @@ def checked(
         raise InstanceError(f"{label} lacks {missing}")
     for key, item in value.items():
         kinds = annotations[key]
-        if kinds and not admits(item, *(_FIELD_TYPES[name] for name in kinds.split(" | "))):
+        if kinds and not admits(item, *(_FIELD_TYPES[name] for name in kinds.split(" | "))) or (
+            kinds == "list[int]" and not all(admits(x, int) for x in item)
+        ):
             raise InstanceError(f"{label} {key!r} must be {kinds}, got {item!r}")
     return value
 

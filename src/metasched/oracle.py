@@ -142,10 +142,11 @@ def exhaustive_rcpsp(
 
     def recurse(order: list[int], done: set[int]) -> None:
         nonlocal best, states
-        states += 1
+        leaf = len(order) == len(ids)
+        states += 1 + leaf * horizon  # a node, and a leaf's decode: one usage entry per time unit
         if states > guard.max_states:
             raise OracleLimitError(f"state budget {guard.max_states} exceeded")
-        if len(order) == len(ids):
+        if leaf:
             starts = oracle_serial_sgs(net, capacity, tuple(order))
             makespan = max(starts[aid] + durations[aid] for aid in ids)
             if best is None or makespan < best:

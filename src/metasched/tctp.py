@@ -1,9 +1,9 @@
-"""Pareto dominance and the non-dominated (duration, cost) archive that the
-time-cost trade-off search keeps of the mode vectors it visits."""
+"""The non-dominated (duration, cost) archive of the mode vectors the time-cost
+trade-off search visits; `ParetoArchive.covers` is its one dominance test."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -36,16 +36,13 @@ class ParetoArchive:
         return i > 0 and self.points[i - 1].cost <= cost
 
 
-def dominates(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    """Weak dominance with at least one strict inequality; minimization both ways."""
-    return a[0] <= b[0] and a[1] <= b[1] and a != b
-
-
 def archive_insert(archive: ParetoArchive, candidate: ParetoPoint) -> ParetoArchive:
+    """`archive` itself when it covers `candidate`, else `candidate` in place of the
+    points it dominates: the run, from the first point no shorter, that costs no less."""
     if archive.covers(candidate.duration, candidate.cost):
         return archive
-    kept = [p for p in archive.points if not dominates(candidate.objectives, p.objectives)]
-    kept.append(candidate)
-    kept.sort(key=lambda p: (p.duration, p.cost))
-    return ParetoArchive(points=tuple(kept))
-
+    points = archive.points
+    i = j = bisect_left(points, candidate.duration, key=attrgetter("duration"))
+    while j < len(points) and points[j].cost >= candidate.cost:
+        j += 1
+    return ParetoArchive(points=(*points[:i], candidate, *points[j:]))

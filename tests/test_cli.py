@@ -342,17 +342,18 @@ class TestTctpCommand:
             (_tctp(option={"cost": None}), "error: activities[1].options[0] 'cost' must be int, got None"),
             (_tctp({"options": [{"duration": 2}]}), "error: activities[1].options[0] lacks ['cost']"),
             (_tctp({"id": 2.0}), "error: activities[1] 'id' must be int, got 2.0"),
-            (_tctp({"depends": [1.0]}), "error: activities[1] 'depends' must be a list of int, got [1.0]"),
+            (_tctp({"depends": [1.0]}), "error: activities[1] 'depends' must be list[int], got [1.0]"),
             (_tctp(option={"duration": 2.0}), "error: activities[1].options[0] 'duration' must be int, got 2.0"),
             (_tctp(option={"cost": 5.0}), "error: activities[1].options[0] 'cost' must be int, got 5.0"),
             (_tctp(indirect=1.0), "error: 'indirect_cost_per_day' must be int, got 1.0"),
+            (_tctp({"options": []}), "error: activity 2 has no options"),
         ],
         ids=[
             "top-level-number", "activity-not-an-object", "option-not-an-object", "zero-option-duration",
             "negative-option-cost", "six-options", "not-json", "integer-past-the-digit-limit",
             "negative-indirect-cost", "misspelt-depends", "misspelt-option-cost", "null-option-cost",
             "option-lacks-cost", "float-id", "float-dependency", "float-option-duration", "float-option-cost",
-            "float-indirect-cost",
+            "float-indirect-cost", "empty-options",
         ],
     )
     def test_malformed_instance_is_domain_error(self, capsys, tmp_path, document, message):
@@ -712,7 +713,7 @@ class TestBenchCommand:
     @pytest.mark.parametrize(
         "spec, message",
         [
-            ({"seeds": [1]}, "needs a 'problem' object"),
+            ({"seeds": [1]}, "error: experiment spec lacks ['problem']"),
             ({"problem": {"kind": "tctp"}, "seeds": [1]}, "lacks ['instance']"),
             ({"problem": {"instance": "table2"}, "seeds": [1]}, "lacks ['kind']"),
             (
@@ -757,7 +758,7 @@ class TestBenchCommand:
             ([1, 2], "top level must be an object"),
             (
                 {"problem": {"kind": "tctp", "instance": "table2"}, "seeds": 5},
-                "experiment spec 'seeds' must be list, got 5",
+                "experiment spec 'seeds' must be list[int], got 5",
             ),
             (
                 {"problem": {"kind": "rcpsp", "instance": "table1", "capacity": "7"}, "seeds": [1]},
@@ -797,8 +798,8 @@ class TestBenchCommand:
                 ({"problem": {"kind": "tctp", "instance": "table2", "indirect_cost": 230}, **fields}, message)
                 for fields, message in [
                     ({"seeds": "12"}, "'seeds' must be list"),
-                    ({"seeds": [1.9]}, "'seeds' must be a list of int"),
-                    ({"seeds": [True]}, "'seeds' must be a list of int"),
+                    ({"seeds": [1.9]}, "error: experiment spec 'seeds' must be list[int], got [1.9]"),
+                    ({"seeds": [True]}, "error: experiment spec 'seeds' must be list[int], got [True]"),
                     ({"seeds": [1], "max_evaluations": "50"}, "'max_evaluations' must be int"),
                     ({"seeds": [1], "max_evaluations": 50.7}, "'max_evaluations' must be int"),
                     ({"seeds": [1], "max_evaluations": True}, "'max_evaluations' must be int"),

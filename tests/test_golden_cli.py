@@ -11,6 +11,7 @@ Regenerate the files, only for a change meant to alter output, with
 `PYTHONPATH=src python tests/test_golden_cli.py`.
 """
 
+import csv
 import io
 import json
 import tempfile
@@ -115,6 +116,17 @@ def test_cli_output_is_byte_identical(case, tmp_path):
     assert sorted(produced) == sorted(expected)
     for name, data in produced.items():
         assert data == expected[name], f"{case}.{name}"
+
+
+def test_every_csv_reads_back_as_wide_as_its_header():
+    """Each CSV a case prints (`--format csv`) or writes parses, quoting
+    included, into rows as wide as its header; the `# makespan` and
+    `# critical` trailer rows of `cpm` and `rcpsp` are not records."""
+    for path in sorted(GOLDEN.glob("*")):
+        if path.suffix == ".csv" or path.name.endswith("-csv.stdout"):
+            rows = list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"), newline="")))
+            records = [row for row in rows if not row[0].startswith("#")]
+            assert {len(row) for row in records} == {len(rows[0])}, path.name
 
 
 if __name__ == "__main__":

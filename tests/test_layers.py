@@ -126,11 +126,12 @@ def calls(tree: ast.AST, name: str):
 
 
 def test_one_module_reads_json():
-    """`model.py` owns how a JSON value is read: only it decodes JSON text,
-    and its checker is the one place that tells a bool from an int."""
+    """`model.py` owns how a JSON value is read: only it decodes JSON text or
+    calls `admits`, and its checker is the one place that tells a bool from an int."""
     trees = package_trees()
-    decoders = sorted(module for module, tree in trees.items() for _ in calls(tree, "loads"))
-    assert decoders == ["model.py"]
+    for name in ("loads", "admits"):
+        callers = sorted({module for module, tree in trees.items() for _ in calls(tree, name)})
+        assert callers == ["model.py"], name
     bool_tests = [
         module
         for module, tree in trees.items()

@@ -123,17 +123,28 @@ class TestExhaustiveRcpsp:
             tracemalloc.stop()
         assert peak < 100_000
 
+    def test_decode_work_is_charged(self, table1_sub8):
+        # The order tree of activities 1-8 has far fewer than a million nodes,
+        # but each of its 13,440 leaves decodes over a 382-unit horizon.
+        with pytest.raises(OracleLimitError) as exc:
+            exhaustive_rcpsp(table1_sub8, 3, OracleGuard(max_activities=8, max_states=1_000_000))
+        assert str(exc.value) == "state budget 1000000 exceeded"
+
     @pytest.mark.parametrize("horizon", [100, 101])
     def test_horizon_within_state_budget(self, horizon):
         # The decoder keeps one usage entry per time unit up to the horizon,
-        # the sum of all durations.
+        # the sum of all durations, and each decode is charged the horizon.
         net = ProjectNetwork(
             activities=(Activity(1, 60), Activity(2, horizon - 60)),
             predecessors={1: frozenset(), 2: frozenset()},
         )
         guard = OracleGuard(max_states=100)
         if horizon <= guard.max_states:
-            assert exhaustive_rcpsp(net, 1, guard) == horizon
+            # 5 nodes, 2 of them leaves, each decoding over the horizon.
+            assert exhaustive_rcpsp(net, 1, OracleGuard(max_states=5 + 2 * horizon)) == horizon
+            with pytest.raises(OracleLimitError) as exc:
+                exhaustive_rcpsp(net, 1, OracleGuard(max_states=4 + 2 * horizon))
+            assert str(exc.value) == f"state budget {4 + 2 * horizon} exceeded"
         else:
             with pytest.raises(OracleLimitError) as exc:
                 exhaustive_rcpsp(net, 1, guard)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from metasched.oracle import longest_path_makespan
 from metasched.problems import tctp_problem
-from metasched.tctp import ParetoArchive, ParetoPoint, archive_insert, dominates
+from metasched.tctp import ParetoArchive, ParetoPoint, archive_insert
 
 # Per-option-index (duration, direct cost) totals when every activity uses the
 # same option, for the bundled 18-activity instance.
@@ -56,24 +56,25 @@ class TestEvaluate:
             assert problem.evaluate(candidate) == (duration * indirect + direct, duration, direct)
 
 
-class TestDominance:
-    def test_strictly_better(self):
-        assert dominates((3, 10), (5, 12))
-
-    def test_better_on_one_axis(self):
-        assert dominates((3, 10), (3, 12))
-        assert dominates((3, 10), (5, 10))
-
-    def test_equal_points_do_not_dominate(self):
-        assert not dominates((3, 10), (3, 10))
-
-    def test_incomparable(self):
-        assert not dominates((3, 12), (5, 10))
-        assert not dominates((5, 10), (3, 12))
-
-
 def _point(duration, cost):
     return ParetoPoint(duration=duration, cost=cost, modes=())
+
+
+def _no_worse(a, b) -> bool:
+    """Whether (duration, cost) `a` is no worse than `b` in both objectives."""
+    return a[0] <= b[0] and a[1] <= b[1]
+
+
+def _filter_and_sort(points: tuple, candidate: ParetoPoint) -> tuple:
+    """An archive update that scans every point and sorts: `candidate`, unless
+    some point is no worse, in place of the points it strictly dominates."""
+    c = candidate.objectives
+    if any(_no_worse(p.objectives, c) for p in points):
+        return points
+    kept = [p for p in points if not (_no_worse(c, p.objectives) and c != p.objectives)]
+    kept.append(candidate)
+    kept.sort(key=lambda p: (p.duration, p.cost))
+    return tuple(kept)
 
 
 class TestArchive:
@@ -115,12 +116,12 @@ class TestArchive:
         # Pairwise non-dominated, unique, sorted by duration.
         assert len(set(objs)) == len(objs)
         assert objs == sorted(objs)
-        for a in objs:
-            for b in objs:
-                assert a == b or not dominates(a, b)
+        for i, a in enumerate(objs):
+            for j, b in enumerate(objs):
+                assert i == j or not _no_worse(a, b)
         # Every inserted point is dominated-or-equalled by something kept.
         for raw in raw_points:
-            assert any(o == raw or dominates(o, raw) for o in objs)
+            assert any(_no_worse(o, raw) for o in objs)
         # `covers` answers every query as a scan over all points would.
         for d in range(42):
             for c in range(42):
@@ -145,3 +146,24 @@ class TestArchive:
         assert [p.objectives for p in archive_a.points] == [
             p.objectives for p in archive_b.points
         ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                ParetoPoint,
+                duration=st.integers(1, 12),
+                cost=st.integers(1, 12),
+                modes=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+            ),
+            max_size=40,
+        )
+    )
+    def test_insert_equals_filter_and_sort(self, candidates):
+        """The staircase update keeps the very points, modes included, that a
+        full scan and sort keeps, so it also keeps the first of equal points."""
+        archive, reference = ParetoArchive(), ()
+        for candidate in candidates:
+            archive = archive_insert(archive, candidate)
+            reference = _filter_and_sort(reference, candidate)
+            assert archive.points == reference
