@@ -1,10 +1,11 @@
-"""Critical path method: forward/backward passes, floats, and makespan."""
+"""Critical path method: the one forward and one backward pass, floats, and
+makespan."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import InstanceError, ProjectNetwork
+from .model import CompiledNetwork, InstanceError, ProjectNetwork
 
 
 @dataclass(frozen=True)
@@ -23,39 +24,54 @@ class CpmResult:
     critical: frozenset[int]
 
 
-def forward_pass(net: ProjectNetwork) -> dict[int, tuple[int, int]]:
-    """Early start/finish per activity: start at the latest predecessor finish."""
-    view = net.compiled
-    durations = view.durations
-    finish = view.early_finish(durations)
-    return {view.ids[i]: (finish[i] - durations[i], finish[i]) for i in view.order}
+def forward_pass(view: CompiledNetwork, durations) -> list[int]:
+    """Each activity's earliest finish when it starts at its latest
+    predecessor's finish; `durations` and the result are indexed like
+    `view.ids`."""
+    finish = [0] * len(durations)
+    preds = view.preds
+    for i in view.order:
+        start = 0
+        for p in preds[i]:
+            if finish[p] > start:
+                start = finish[p]
+        finish[i] = start + durations[i]
+    return finish
 
 
-def backward_pass(net: ProjectNetwork, makespan: int) -> dict[int, tuple[int, int]]:
-    """Late start/finish per activity, anchored at the given makespan."""
-    view = net.compiled
-    durations = view.durations
-    start = view.late_start(durations, makespan)
+def backward_pass(view: CompiledNetwork, durations, makespan: int) -> list[int]:
+    """Each activity's latest start that lets every successor start by its
+    own latest start and the project end by `makespan`, indexed like
+    `view.ids`; a `makespan` below the longest path raises `InstanceError`."""
+    start = [0] * len(durations)
+    succs = view.succs
+    for i in reversed(view.order):
+        finish = makespan
+        for s in succs[i]:
+            if start[s] < finish:
+                finish = start[s]
+        start[i] = finish - durations[i]
     # The earliest late start falls short of `makespan` by the longest path.
     project_end = makespan - min(start, default=makespan)
     if makespan < project_end:
         raise InstanceError(
             f"makespan {makespan} below forward-pass makespan {project_end}"
         )
-    return {view.ids[i]: (start[i], start[i] + durations[i]) for i in reversed(view.order)}
+    return start
 
 
 def compute_cpm(net: ProjectNetwork) -> CpmResult:
     """Both passes plus floats; critical activities are those with zero float."""
-    earliest = forward_pass(net)
-    makespan = max((ef for _, ef in earliest.values()), default=0)
-    latest = backward_pass(net, makespan)
+    view = net.compiled
+    durations = view.durations
+    finish = forward_pass(view, durations)
+    makespan = max(finish, default=0)
+    start = backward_pass(view, durations, makespan)
     rows = {}
     critical = []
-    for aid in net.ids:
-        es, ef = earliest[aid]
-        ls, lf = latest[aid]
-        rows[aid] = CpmRow(es, ef, ls, lf, ls - es)
+    for aid, d, ef, ls in zip(view.ids, durations, finish, start):
+        es = ef - d
+        rows[aid] = CpmRow(es, ef, ls, ls + d, ls - es)
         if ls == es:
             critical.append(aid)
     return CpmResult(rows=rows, makespan=makespan, critical=frozenset(critical))

@@ -141,33 +141,6 @@ class CompiledNetwork:
             demands=tuple(a.resource_demand for a in net.activities),
         )
 
-    def early_finish(self, durations) -> list[int]:
-        """Forward pass: each activity's earliest finish when it starts at
-        its latest predecessor's finish; `durations` is indexed like `ids`."""
-        finish = [0] * len(durations)
-        preds = self.preds
-        for i in self.order:
-            start = 0
-            for p in preds[i]:
-                if finish[p] > start:
-                    start = finish[p]
-            finish[i] = start + durations[i]
-        return finish
-
-    def late_start(self, durations, makespan: int) -> list[int]:
-        """Backward pass over the successor lists: each activity's latest
-        start that lets every successor start by its own latest start and
-        the project end by `makespan`."""
-        start = [0] * len(durations)
-        succs = self.succs
-        for i in reversed(self.order):
-            finish = makespan
-            for s in succs[i]:
-                if start[s] < finish:
-                    finish = start[s]
-            start[i] = finish - durations[i]
-        return start
-
 
 def validate_network(net: ProjectNetwork) -> list[str]:
     """The first violation of a network's structural invariants (a duplicate

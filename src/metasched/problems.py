@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from operator import getitem
 
+from .cpm import forward_pass
 from .model import ProjectNetwork, TctpInstance
 from .rcpsp import (
     neighbor_swap,
@@ -81,8 +82,8 @@ def tctp_problem(instance: TctpInstance) -> SearchProblem:
 
     The total cost is duration * the instance's indirect cost per day + the
     chosen options' direct costs, in exact integers. A fitness call is the
-    compiled network's forward pass over the chosen options' durations,
-    cheap enough for large evaluation budgets.
+    CPM forward pass over the chosen options' durations, cheap enough for
+    large evaluation budgets.
     """
     indirect_cost = instance.indirect_cost_per_day
     view = instance.network.compiled
@@ -96,10 +97,9 @@ def tctp_problem(instance: TctpInstance) -> SearchProblem:
         (0, *(o.direct_cost for o in instance.options[aid])) for aid in ids
     ]
     option_counts = tuple(len(instance.options[aid]) for aid in ids)
-    early_finish = view.early_finish
 
     def evaluate(modes: tuple) -> tuple[int, int, int]:
-        duration = max(early_finish(list(map(getitem, option_durations, modes))))
+        duration = max(forward_pass(view, list(map(getitem, option_durations, modes))))
         direct = sum(map(getitem, option_costs, modes))
         return duration * indirect_cost + direct, duration, direct
 

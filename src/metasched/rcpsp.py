@@ -8,7 +8,7 @@ import heapq
 import random
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 from math import inf
 
@@ -151,13 +151,14 @@ def serial_sgs(net: ProjectNetwork, capacity: int, order: tuple[int, ...]) -> Sc
     demand to the pieces in between, so the work per activity grows with
     the number of pieces, not with its duration.
     """
-    return _decode(net.compiled, capacity, order)
+    view = net.compiled
+    return _decode(view, view.durations, capacity, order)
 
 
-def _decode(view: CompiledNetwork, capacity: int, order: tuple[int, ...]) -> Schedule:
-    """`serial_sgs` on a view, whose durations may differ from its network's."""
-    index, preds = view.index, view.preds
-    durations, demands = view.durations, view.demands
+def _decode(view: CompiledNetwork, durations, capacity: int, order: tuple[int, ...]) -> Schedule:
+    """`serial_sgs` on a view with `durations`, indexed like `view.ids`,
+    which may differ from its network's."""
+    index, preds, demands = view.index, view.preds, view.demands
     max_demand = max(demands, default=0)
     if capacity < max_demand:
         raise SchedulingError(
@@ -263,11 +264,12 @@ def constrained_critical(
     see whether the makespan grows.
     """
     view = net.compiled
-    base = _decode(view, capacity, order).makespan
-    durations = view.durations
+    durations = list(view.durations)
+    base = _decode(view, durations, capacity, order).makespan
     critical = set()
     for i, aid in enumerate(view.ids):
-        longer = (*durations[:i], durations[i] + 1, *durations[i + 1:])
-        if _decode(replace(view, durations=longer), capacity, order).makespan > base:
+        durations[i] += 1
+        if _decode(view, durations, capacity, order).makespan > base:
             critical.add(aid)
+        durations[i] -= 1
     return frozenset(critical)

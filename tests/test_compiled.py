@@ -108,6 +108,28 @@ def test_cpm_makespan_matches_oracle(net):
 
 
 @PROPERTY
+@given(dags(), st.data())
+def test_passes_on_durations_other_than_the_networks(net, data):
+    """TCTP evaluation runs the forward pass on the chosen options'
+    durations, not the activities' own: the passes must read only the list
+    they are given."""
+    view = net.compiled
+    n = len(view.ids)
+    durations = data.draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n))
+    finish = forward_pass(view, durations)
+    makespan = max(finish, default=0)
+    assert makespan == longest_path_makespan(net, dict(zip(view.ids, durations)))
+    for i, ps in enumerate(view.preds):
+        assert finish[i] == durations[i] + max((finish[p] for p in ps), default=0)
+
+    latest = backward_pass(view, durations, makespan)
+    for k in (1, data.draw(st.integers(2, 10**6))):
+        assert backward_pass(view, durations, makespan + k) == [s + k for s in latest]
+    with pytest.raises(InstanceError, match="below forward-pass makespan"):
+        backward_pass(view, durations, makespan - 1)
+
+
+@PROPERTY
 @given(dags(), st.integers(0, 2**32 - 1))
 def test_random_activity_list_matches_reference(net, seed):
     assert random_activity_list(net, random.Random(seed)) == reference_random_activity_list(
@@ -162,8 +184,8 @@ def _consumers(net):
     instance = TctpInstance(network=net, options=options, indirect_cost_per_day=0)
     return {
         "topological_order": lambda: net.topological_order(),
-        "forward_pass": lambda: forward_pass(net),
-        "backward_pass": lambda: backward_pass(net, 10**9),
+        "forward_pass": lambda: forward_pass(net.compiled, net.compiled.durations),
+        "backward_pass": lambda: backward_pass(net.compiled, net.compiled.durations, 10**9),
         "compute_cpm": lambda: compute_cpm(net),
         "random_activity_list": lambda: random_activity_list(net, random.Random(0)),
         "repair_precedence": lambda: repair_precedence(net, net.ids),

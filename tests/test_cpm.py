@@ -63,15 +63,17 @@ def test_chain_makespan():
 
 
 def test_backward_pass_with_slack_deadline(table1):
-    latest = backward_pass(table1, makespan=130)
-    # Shifting the deadline by +4 shifts every late time by the same amount.
-    assert latest[17] == (98, 130)
-    assert latest[4] == (4, 44)
+    view = table1.compiled
+    latest = backward_pass(view, view.durations, makespan=130)
+    # Shifting the deadline by +4 shifts every late start by the same amount.
+    assert latest[view.index[17]] == 98
+    assert latest[view.index[4]] == 4
 
 
 def test_backward_pass_rejects_too_small_makespan(table1):
+    view = table1.compiled
     with pytest.raises(InstanceError, match="below"):
-        backward_pass(table1, makespan=100)
+        backward_pass(view, view.durations, makespan=100)
 
 
 def test_total_float_nonnegative_random_networks():

@@ -116,6 +116,15 @@ def test_package_imports(module, allowed):
     assert package_imports(module) <= allowed
 
 
+def test_compiled_view_is_data():
+    """`CompiledNetwork` is the graph's structure and nothing more: the one
+    forward and one backward pass live in `cpm.py` and take the durations
+    they walk, so no second pass grows back onto the view."""
+    view = next(node for node in parse(PACKAGE / "model.py").body if getattr(node, "name", None) == "CompiledNetwork")
+    methods = [node.name for node in view.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert methods == ["build"]
+
+
 def calls(tree: ast.AST, name: str):
     """Each call under `tree` to the function or method `name`."""
     for node in ast.walk(tree):
