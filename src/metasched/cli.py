@@ -198,7 +198,7 @@ def cmd_cpm(args, parser) -> int:
         args.format,
         {"rows": [dict(zip(columns, row)) for row in rows], "makespan": result.makespan, "critical": critical},
         ",".join(columns),
-        [*rows, ("# makespan", result.makespan), ("# critical", " ".join(map(str, critical)))],
+        rows,
         [
             *(
                 " ".join(f"{x:>{width}}" for x, width in zip(row, (8, 5, 5, 5, 5, 5)))
@@ -214,6 +214,8 @@ def cmd_cpm(args, parser) -> int:
 def cmd_rcpsp(args, parser) -> int:
     net = load_network(args.instance)
     if args.fixed_list:
+        if args.trace:
+            parser.error("--trace needs a search run (omit it with --list)")
         order = tuple(int(x) for x in args.fixed_list.split(","))
     else:
         if args.seed is None:
@@ -232,13 +234,8 @@ def cmd_rcpsp(args, parser) -> int:
             "peak_usage": peak,
             "list": list(order),
         },
-        "activity,start",
-        [
-            *starts.items(),
-            ("# makespan", schedule.makespan),
-            ("# critical", " ".join(map(str, critical))),
-            ("# peak_usage", peak),
-        ],
+        "activity,start,critical,makespan,peak_usage",
+        [(aid, t, int(aid in critical), schedule.makespan, peak) for aid, t in sorted(schedule.start_times.items())],
         [
             f"makespan: {schedule.makespan}",
             f"start times: {starts}",

@@ -9,26 +9,18 @@ import math
 import random
 from dataclasses import replace
 
+from metasched.bench import ALGORITHMS
 from metasched.cpm import compute_cpm
 from metasched.model import TctpInstance, induced_subnetwork
 from metasched.oracle import exhaustive_tctp, longest_path_makespan, oracle_serial_sgs
 from metasched.problems import rcpsp_problem, tctp_problem
 from metasched.rcpsp import check_schedule, random_activity_list, serial_sgs
-from metasched.search import (
-    GaConfig,
-    SaConfig,
-    TsConfig,
-    run_ga,
-    run_sa,
-    run_ts,
-    sa_accept_probability,
-)
+from metasched.search import sa_accept_probability
 from metasched.tctp import ParetoArchive, ParetoPoint, archive_insert
 
 from conftest import random_dag
 from test_cpm import TABLE1_ROWS
 
-RUNNERS = {"sa": (run_sa, SaConfig), "ts": (run_ts, TsConfig), "ga": (run_ga, GaConfig)}
 SEEDS = tuple(range(10))
 
 
@@ -79,7 +71,7 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_unconstrained_search_recovers_cpm(table1):
     problem = rcpsp_problem(table1, 17)  # capacity covers total demand
-    for algo, (runner, config_cls) in RUNNERS.items():
+    for algo, (config_cls, runner) in ALGORITHMS.items():
         for seed in SEEDS:
             result = runner(problem, config_cls(max_evaluations=2000), seed)
             assert result.best_duration == 126, (algo, seed, result.best_duration)
@@ -90,7 +82,7 @@ def test_criterion_5_constrained_search(table1):
     problem = rcpsp_problem(table1, 7)
     lower_bound = compute_cpm(table1).makespan
     ga_best = math.inf
-    for algo, (runner, config_cls) in RUNNERS.items():
+    for algo, (config_cls, runner) in ALGORITHMS.items():
         for seed in SEEDS:
             result = runner(problem, config_cls(max_evaluations=20_000), seed)
             schedule = serial_sgs(table1, 7, result.best)
@@ -105,7 +97,7 @@ def test_criterion_5_constrained_search(table1):
 def test_criterion_6_tctp_extreme_indirect_costs(table2):
     cheap = tctp_problem(replace(table2, indirect_cost_per_day=0))
     fast = tctp_problem(replace(table2, indirect_cost_per_day=10**6))
-    for algo, (runner, config_cls) in RUNNERS.items():
+    for algo, (config_cls, runner) in ALGORITHMS.items():
         for seed in SEEDS:
             result = runner(cheap, config_cls(max_evaluations=20_000), seed)
             assert result.best_cost == 99740, (algo, seed, result.best_cost)
@@ -120,7 +112,7 @@ def test_criterion_7_reduced_front_recovered(table2_sub6):
     # Vary the duration/cost weighting across seeds so search pressure sweeps
     # the whole trade-off curve; pool each algorithm's visited-solution archives.
     indirect_schedule = (0, 25, 50, 100, 200, 400, 800, 1600, 3200, 6400)
-    for algo, (runner, config_cls) in RUNNERS.items():
+    for algo, (config_cls, runner) in ALGORITHMS.items():
         pooled = ParetoArchive()
         for seed, indirect in zip(SEEDS, indirect_schedule):
             problem = tctp_problem(replace(table2_sub6, indirect_cost_per_day=indirect))
@@ -157,7 +149,7 @@ def test_criterion_8_search_invariants(table2):
 
     # Seeded runs are reproducible and never exceed their budget.
     problem = tctp_problem(replace(table2, indirect_cost_per_day=230))
-    for algo, (runner, config_cls) in RUNNERS.items():
+    for algo, (config_cls, runner) in ALGORITHMS.items():
         first = runner(problem, config_cls(max_evaluations=500), 99)
         second = runner(problem, config_cls(max_evaluations=500), 99)
         assert first.best == second.best and first.trajectory == second.trajectory

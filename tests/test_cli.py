@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import time
@@ -246,6 +248,15 @@ class TestRcpspCommand:
             main(["rcpsp", "--instance", "table1", "--capacity", "7"])
         assert exc.value.code == 2
 
+    def test_list_refuses_trace(self, capsys, tmp_path):
+        trace = tmp_path / "t.csv"
+        err = usage_error(
+            capsys, "rcpsp", "--instance", "table1", "--capacity", "7",
+            "--list", "4,10,1,8,3,17,7,9,11,5,6,2,12,14,16,13,15", "--trace", str(trace),
+        )
+        assert "--trace needs a search run" in err
+        assert not trace.exists()
+
     def test_zero_capacity_is_domain_error(self, capsys):
         code, _, err = run_cli(
             capsys, "rcpsp", "--instance", "table1", "--capacity", "0",
@@ -279,6 +290,41 @@ class TestRcpspCommand:
         )
         assert "argument --max-evals" in err
         assert "population_size" not in err
+
+
+RCPSP_TABLE1 = ("rcpsp", "--instance", "table1", "--capacity", "7")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cpm", "--instance", "table1"),
+        (*RCPSP_TABLE1, "--list", "4,10,1,8,3,17,7,9,11,5,6,2,12,14,16,13,15"),
+        *((*RCPSP_TABLE1, "--algo", algo, "--seed", "3", "--max-evals", "300") for algo in ALGORITHMS),
+    ],
+    ids=["cpm", "rcpsp-list", *(f"rcpsp-{algo}" for algo in ALGORITHMS)],
+)
+def test_csv_and_json_of_one_run_agree(capsys, argv):
+    """The CSV of a `cpm` or `rcpsp` run is one table that carries every
+    value its JSON gives: the `cpm` makespan is the largest `ef` and its
+    critical set the rows with `tf` 0; each `rcpsp` row holds its start,
+    whether it is critical, and the run's makespan and peak usage."""
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    if argv[0] == "cpm":
+        assert max(int(row["ef"]) for row in rows) == payload["makespan"]
+        assert [int(row["activity"]) for row in rows if row["tf"] == "0"] == payload["critical"]
+    else:
+        assert {row["activity"]: int(row["start"]) for row in rows} == payload["start_times"]
+        assert {row["critical"] for row in rows} <= {"0", "1"}
+        assert [int(row["activity"]) for row in rows if row["critical"] == "1"] == payload["critical"]
+        assert {(row["makespan"], row["peak_usage"]) for row in rows} == {
+            (str(payload["makespan"]), str(payload["peak_usage"]))
+        }
 
 
 class TestTctpCommand:

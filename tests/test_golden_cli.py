@@ -119,14 +119,12 @@ def test_cli_output_is_byte_identical(case, tmp_path):
 
 
 def test_every_csv_reads_back_as_wide_as_its_header():
-    """Each CSV a case prints (`--format csv`) or writes parses, quoting
-    included, into rows as wide as its header; the `# makespan` and
-    `# critical` trailer rows of `cpm` and `rcpsp` are not records."""
+    """Each CSV a case prints (`--format csv`) or writes is one table: every
+    row parses, quoting included, as wide as its header."""
     for path in sorted(GOLDEN.glob("*")):
         if path.suffix == ".csv" or path.name.endswith("-csv.stdout"):
             rows = list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"), newline="")))
-            records = [row for row in rows if not row[0].startswith("#")]
-            assert {len(row) for row in records} == {len(rows[0])}, path.name
+            assert {len(row) for row in rows} == {len(rows[0])}, path.name
 
 
 if __name__ == "__main__":

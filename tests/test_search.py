@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metasched.bench import ALGORITHMS
 from metasched.model import Activity, ProjectNetwork
 from metasched.problems import neighbor_mode_change, rcpsp_problem, tctp_problem
 from metasched.rcpsp import neighbor_swap, order_crossover, repair_precedence
@@ -22,12 +23,6 @@ from metasched.search import (
 )
 
 from conftest import is_precedence_feasible
-
-RUNNERS = {
-    "sa": (run_sa, SaConfig),
-    "ts": (run_ts, TsConfig),
-    "ga": (run_ga, GaConfig),
-}
 
 
 class TestAcceptProbability:
@@ -176,12 +171,12 @@ def tctp230(table2):
     return tctp_problem(replace(table2, indirect_cost_per_day=230))
 
 
-@pytest.mark.parametrize("algo", ["sa", "ts", "ga"])
+@pytest.mark.parametrize("algo", list(ALGORITHMS))
 @pytest.mark.parametrize("problem_name", ["rcpsp7", "tctp230"])
 class TestRunners:
     def _run(self, request, problem_name, algo, seed):
         problem = request.getfixturevalue(problem_name)
-        runner, config_cls = RUNNERS[algo]
+        config_cls, runner = ALGORITHMS[algo]
         return runner(problem, config_cls(max_evaluations=400), seed)
 
     def test_deterministic_per_seed(self, request, problem_name, algo):
@@ -206,7 +201,7 @@ class TestRunners:
             return inner(candidate)
 
         wrapped = replace(problem, evaluate=counting)
-        runner, config_cls = RUNNERS[algo]
+        config_cls, runner = ALGORITHMS[algo]
         result = runner(wrapped, config_cls(max_evaluations=400), seed=3)
         assert result.evaluations_used == calls
         assert result.evaluations_used <= 400
