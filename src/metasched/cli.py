@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_search = sub.add_parser(name, help=text)
         p_search.add_argument("--instance", required=True)
         p_search.add_argument(problem_flag, type=int, required=required)
-        p_search.add_argument("--algo", choices=ALGORITHMS, default="ga")
+        p_search.add_argument("--algo", choices=ALGORITHMS)  # unset: ga
         p_search.add_argument("--seed", type=int)
         p_search.add_argument("--max-evals", type=_positive_int)  # unset: the config's max_evaluations
         p_search.add_argument(output_flag, dest=dest, help=output_text)
@@ -166,9 +166,11 @@ def resolve_configs(args) -> dict[str, object]:
 
 
 def _search(args, problem):
-    """Run `--algo` on `problem` under the resolved configs; write `--trace`."""
-    _, run = ALGORITHMS[args.algo]
-    result = run(problem, resolve_configs(args)[args.algo], args.seed)
+    """Run `--algo` (ga when unset) on `problem` under the resolved configs;
+    write `--trace`."""
+    algo = args.algo or "ga"
+    _, run = ALGORITHMS[algo]
+    result = run(problem, resolve_configs(args)[algo], args.seed)
     if args.trace:
         write_csv(args.trace, "eval,best_fitness", result.trajectory)
     return result
@@ -214,8 +216,11 @@ def cmd_cpm(args, parser) -> int:
 def cmd_rcpsp(args, parser) -> int:
     net = load_network(args.instance)
     if args.fixed_list:
-        if args.trace:
-            parser.error("--trace needs a search run (omit it with --list)")
+        flags = ("--trace", "--seed", "--algo", "--max-evals", "--config", *(flag for flag, *_ in CONFIG_FLAGS))
+        given = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) is not None]
+        if given:
+            verb, pronoun = ("needs", "it") if len(given) == 1 else ("need", "them")
+            parser.error(f"{', '.join(given)} {verb} a search run (omit {pronoun} with --list)")
         order = tuple(int(x) for x in args.fixed_list.split(","))
     else:
         if args.seed is None:

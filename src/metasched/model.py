@@ -44,11 +44,28 @@ class ProjectNetwork:
     Instances are immutable after construction; `predecessors` maps every
     activity id to a (possibly empty) frozenset of activity ids. Construction
     does not validate: the first use of `compiled` raises `InstanceError` on a
-    duplicate id, a reference to an unknown activity or a cycle.
+    duplicate id, a reference to an unknown activity or a cycle. A network
+    loaded from columns (`derive_precedence_from_nodes`) starts from its
+    compiled view, and builds `activities` and `predecessors` from it when
+    they are first read.
     """
 
     activities: tuple[Activity, ...]
     predecessors: dict[int, frozenset[int]]
+
+    def __getattr__(self, name: str):
+        # Reached only when `name` is not in the instance dict: for the two
+        # fields, only on a network loaded from columns.
+        view = self.__dict__.get("compiled")
+        if view is None or name not in ("activities", "predecessors"):
+            raise AttributeError(name)
+        ids = view.ids
+        if name == "activities":
+            value = tuple(map(Activity, ids, view.durations, view.demands))
+        else:
+            value = {aid: frozenset(map(ids.__getitem__, ps)) for aid, ps in zip(ids, view.preds)}
+        self.__dict__[name] = value
+        return value
 
     @cached_property
     def ids(self) -> tuple[int, ...]:
@@ -87,21 +104,13 @@ class CompiledNetwork:
 
     @classmethod
     def build(cls, net: ProjectNetwork) -> CompiledNetwork:
-        """Kahn's source elimination in O(n + e), then stable sorts by id and
-        by level.
+        """The view of `net`'s activities and predecessor sets.
 
         Raises `InstanceError` on a duplicate id, a reference to an unknown
-        activity, or a cycle; a cycle is reported with every activity the
-        elimination could not reach.
+        activity, or a cycle.
         """
         ids = net.ids
-        index = dict(zip(ids, range(len(ids))))
-        if len(index) < len(ids):
-            seen = set()
-            for aid in ids:
-                if aid in seen:
-                    raise InstanceError(f"duplicate activity id {aid}")
-                seen.add(aid)
+        index = _index(ids)
         position, listed = index.__getitem__, net.predecessors.get
         preds = []
         try:
@@ -115,31 +124,53 @@ class CompiledNetwork:
         for i, ps in enumerate(preds):
             for p in ps:
                 succs[p].append(i)
-
-        indegree = [len(ps) for ps in preds]
-        level = [0] * len(ids)
-        done = [i for i, deg in enumerate(indegree) if deg == 0]
-        for i in done:  # grows while it is walked: a FIFO queue
-            for s in succs[i]:
-                if level[s] <= level[i]:
-                    level[s] = level[i] + 1
-                indegree[s] -= 1
-                if indegree[s] == 0:
-                    done.append(s)
-        if len(done) < len(ids):
-            stuck = sorted(ids[i] for i, deg in enumerate(indegree) if deg)
-            raise InstanceError(f"cycle among activities {stuck}")
-        done.sort(key=ids.__getitem__)
-        done.sort(key=level.__getitem__)  # stable: ties stay in id order
+        preds, succs = tuple(preds), tuple(map(tuple, succs))
         return cls(
             ids=ids,
             index=index,
-            order=tuple(done),
-            preds=tuple(preds),
-            succs=tuple(map(tuple, succs)),
+            order=_level_order(ids, preds, succs),
+            preds=preds,
+            succs=succs,
             durations=tuple(a.duration for a in net.activities),
             demands=tuple(a.resource_demand for a in net.activities),
         )
+
+
+def _index(ids: tuple[int, ...]) -> dict[int, int]:
+    """Each id's position in `ids`; a repeated id raises `InstanceError`."""
+    index = dict(zip(ids, range(len(ids))))
+    if len(index) < len(ids):
+        seen = set()
+        for aid in ids:
+            if aid in seen:
+                raise InstanceError(f"duplicate activity id {aid}")
+            seen.add(aid)
+    return index
+
+
+def _level_order(ids: tuple[int, ...], preds, succs) -> tuple[int, ...]:
+    """The indices level by level, each level in ascending id order: Kahn's
+    source elimination in O(n + e), then stable sorts by id and by level.
+
+    A cycle raises `InstanceError` naming every activity the elimination
+    could not reach.
+    """
+    indegree = [len(ps) for ps in preds]
+    level = [0] * len(ids)
+    done = [i for i, deg in enumerate(indegree) if deg == 0]
+    for i in done:  # grows while it is walked: a FIFO queue
+        for s in succs[i]:
+            if level[s] <= level[i]:
+                level[s] = level[i] + 1
+            indegree[s] -= 1
+            if indegree[s] == 0:
+                done.append(s)
+    if len(done) < len(ids):
+        stuck = sorted(ids[i] for i, deg in enumerate(indegree) if deg)
+        raise InstanceError(f"cycle among activities {stuck}")
+    done.sort(key=ids.__getitem__)
+    done.sort(key=level.__getitem__)  # stable: ties stay in id order
+    return tuple(done)
 
 
 def validate_network(net: ProjectNetwork) -> list[str]:
@@ -153,22 +184,32 @@ def validate_network(net: ProjectNetwork) -> list[str]:
     return []
 
 
-def derive_precedence_from_nodes(arcs: tuple[tuple[Activity, int, int], ...]) -> ProjectNetwork:
-    """Build the precedence network implied by shared event nodes, from
-    (activity, start node, end node) arcs.
+def derive_precedence_from_nodes(columns: tuple[tuple[int, ...], ...]) -> ProjectNetwork:
+    """Build the precedence network implied by shared event nodes, from the
+    (ids, start nodes, end nodes, durations, demands) columns that
+    `parse_aoa_instance` returns.
 
     Activity j is a successor of activity i iff j starts at the node i ends
-    at. The arc order is preserved in the resulting activity tuple.
+    at. The column order is the activity order. The network holds only its
+    compiled view; a duplicate id or a cycle the node structure induced
+    raises `InstanceError`.
     """
-    by_end: dict[int, list[int]] = {}
-    for activity, _, end in arcs:
-        by_end.setdefault(end, []).append(activity.id)
-    # One set per event node, shared by every arc that starts there.
-    into = {node: frozenset(ending) for node, ending in by_end.items()}
-    no_predecessors = frozenset()
-    predecessors = {activity.id: into.get(start, no_predecessors) for activity, start, _ in arcs}
-    net = ProjectNetwork(activities=tuple(activity for activity, _, _ in arcs), predecessors=predecessors)
-    net.compiled  # raises on a duplicate id or a cycle the node structure induced
+    ids, starts, ends, durations, demands = columns
+    index = _index(ids)
+    ending: dict[int, list[int]] = {}
+    starting: dict[int, list[int]] = {}
+    for i, (start, end) in enumerate(zip(starts, ends)):
+        ending.setdefault(end, []).append(i)
+        starting.setdefault(start, []).append(i)
+    # One index tuple per event node, shared by every arc that starts (or
+    # ends) there, and ascending because the arcs were taken in order.
+    into = {node: tuple(arcs) for node, arcs in ending.items()}
+    out_of = {node: tuple(arcs) for node, arcs in starting.items()}
+    preds = tuple(into.get(start, ()) for start in starts)
+    succs = tuple(out_of.get(end, ()) for end in ends)
+    view = CompiledNetwork(ids, index, _level_order(ids, preds, succs), preds, succs, durations, demands)
+    net = object.__new__(ProjectNetwork)
+    net.__dict__.update(ids=ids, compiled=view)
     return net
 
 
@@ -227,10 +268,10 @@ class TctpInstance:
             raise InstanceError("options do not cover exactly the network's activities")
 
 
-def parse_aoa_instance(document: str) -> tuple[tuple[Activity, int, int], ...]:
-    """Parse an activity-on-arrow instance document into (activity, start
-    node, end node) arcs, order preserved."""
-    arcs = []
+def parse_aoa_instance(document: str) -> tuple[tuple[int, ...], ...]:
+    """Parse an activity-on-arrow instance document into its (ids, start
+    nodes, end nodes, durations, demands) columns, record order preserved."""
+    ids, starts, ends, durations, demands = columns = ([], [], [], [], [])
     for i, rec in enumerate(_records(load_json(document), AOA_FORMAT, "arcs")):
         exact = type(rec) is dict and len(rec) == 4 + ("demand" in rec)  # the common record: its fields, exact ints
         if exact:
@@ -239,11 +280,15 @@ def parse_aoa_instance(document: str) -> tuple[tuple[Activity, int, int], ...]:
             exact = type(aid) is type(start) is type(end) is type(duration) is type(demand) is int
         if not exact:  # JSON has no other ints, so the checker refuses it and names the first bad key
             checked(f"arcs[{i}]", rec, _ARC_FIELDS, required=("id", "start", "end", "duration"))
-        activity = Activity(aid, duration, demand)
-        if start == end:
+        if aid < 1 or duration < 0 or demand < 0 or start == end:
+            Activity(aid, duration, demand)  # raises on the first of its own faults
             raise InstanceError(f"activity {aid}: self-loop at node {start}")
-        arcs.append((activity, start, end))
-    return tuple(arcs)
+        ids.append(aid)
+        starts.append(start)
+        ends.append(end)
+        durations.append(duration)
+        demands.append(demand)
+    return tuple(map(tuple, columns))
 
 
 def parse_tctp_instance(document: str | dict, indirect_cost_override: int | None = None) -> TctpInstance:

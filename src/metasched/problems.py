@@ -22,8 +22,7 @@ from .search import Move, SearchProblem
 def rcpsp_problem(net: ProjectNetwork, capacity: int) -> SearchProblem:
     """Makespan minimization over precedence-feasible activity lists decoded
     by the serial schedule-generation scheme."""
-    net.compiled  # raises InstanceError on a cycle or a dangling reference
-    n = len(net.activities)
+    n = len(net.compiled.ids)  # raises InstanceError on a cycle or a dangling reference
 
     def evaluate(order: tuple) -> tuple[int, int, int]:
         makespan = serial_sgs(net, capacity, order).makespan

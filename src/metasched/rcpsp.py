@@ -218,11 +218,12 @@ def resource_profile(net: ProjectNetwork, schedule: Schedule) -> ResourceProfile
     """Usage of the schedule's start times, by one sorted sweep over the
     start and finish events; its size grows with the number of activities,
     not with their durations."""
+    view = net.compiled
     change: Counter = Counter()
-    for a in net.activities:
-        start = schedule.start_times[a.id]
-        change[start] += a.resource_demand
-        change[start + a.duration] -= a.resource_demand
+    for aid, duration, demand in zip(view.ids, view.durations, view.demands):
+        start = schedule.start_times[aid]
+        change[start] += demand
+        change[start + duration] -= demand
     times = tuple(t for t in sorted(change) if change[t])
     return ResourceProfile(times=times, loads=tuple(accumulate(change[t] for t in times)))
 

@@ -257,6 +257,31 @@ class TestRcpspCommand:
         assert "--trace needs a search run" in err
         assert not trace.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--seed", "1"), ("--algo", "ga"), ("--max-evals", "5"), ("--config", "absent.json")]
+        + [(flag, "full" if kind is not int and kind is not float else "2") for flag, _, _, kind, _ in CONFIG_FLAGS],
+    )
+    def test_list_refuses_each_search_flag(self, capsys, flag, value):
+        err = usage_error(capsys, *RCPSP_TABLE1, "--list", TABLE1_LIST, flag, value)
+        assert f"error: {flag} needs a search run (omit it with --list)" in err
+
+    def test_list_names_every_search_flag_and_never_reads_the_config(self, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text("not JSON", encoding="utf-8")
+        monkeypatch.setenv("METASCHED_CONFIG", str(config))
+        err = usage_error(
+            capsys, *RCPSP_TABLE1, "--list", TABLE1_LIST,
+            "--sa-cooling", "0.5", "--config", str(config), "--seed", "1", "--algo", "sa", "--max-evals", "5",
+        )
+        assert "error: --seed, --algo, --max-evals, --config, --sa-cooling need a search run (omit them with --list)" in err
+        assert "malformed config" not in err
+        # Without the flags, --list decodes and the config file in the
+        # environment is not read either.
+        code, out, err = run_cli(capsys, *RCPSP_TABLE1, "--list", TABLE1_LIST, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["list"] == [int(x) for x in TABLE1_LIST.split(",")]
+
     def test_zero_capacity_is_domain_error(self, capsys):
         code, _, err = run_cli(
             capsys, "rcpsp", "--instance", "table1", "--capacity", "0",
@@ -293,6 +318,7 @@ class TestRcpspCommand:
 
 
 RCPSP_TABLE1 = ("rcpsp", "--instance", "table1", "--capacity", "7")
+TABLE1_LIST = "4,10,1,8,3,17,7,9,11,5,6,2,12,14,16,13,15"
 
 
 @pytest.mark.parametrize(

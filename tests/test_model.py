@@ -1,11 +1,14 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metasched.instances import read_bundled
+from metasched.bench import ALGORITHMS
+from metasched.cpm import compute_cpm
+from metasched.instances import load_network, read_bundled
 from metasched.model import (
     AOA_FORMAT,
     Activity,
@@ -20,6 +23,8 @@ from metasched.model import (
     parse_tctp_instance,
     validate_network,
 )
+from metasched.problems import rcpsp_problem
+from metasched.rcpsp import constrained_critical, resource_profile, serial_sgs
 
 TABLE1_TEXT = read_bundled("table1")
 TABLE2_TEXT = read_bundled("table2")
@@ -33,37 +38,34 @@ class TestDerivePrecedence:
         assert net.predecessors[17] == {3, 8, 10}
 
     def test_single_arc(self):
-        net = derive_precedence_from_nodes(((Activity(1, 5), 1, 2),))
+        net = derive_precedence_from_nodes(((1,), (1,), (2,), (5,), (1,)))
         assert net.ids == (1,)
         assert net.predecessors[1] == frozenset()
 
     def test_order_independent(self):
-        arcs = parse_aoa_instance(TABLE1_TEXT)
+        rows = list(zip(*parse_aoa_instance(TABLE1_TEXT)))
+        reference = derive_precedence_from_nodes(tuple(zip(*rows))).predecessors
         rng = random.Random(0)
         for _ in range(10):
-            shuffled = list(arcs)
-            rng.shuffle(shuffled)
-            assert derive_precedence_from_nodes(tuple(shuffled)).predecessors == (
-                derive_precedence_from_nodes(arcs).predecessors
-            )
+            rng.shuffle(rows)
+            assert derive_precedence_from_nodes(tuple(zip(*rows))).predecessors == reference
 
     def test_duplicate_id_rejected(self):
-        arcs = ((Activity(1, 5), 0, 1), (Activity(1, 5), 1, 2))
+        columns = ((1, 1), (0, 1), (1, 2), (5, 5), (1, 1))
         with pytest.raises(InstanceError, match="duplicate"):
-            derive_precedence_from_nodes(arcs)
+            derive_precedence_from_nodes(columns)
 
     def test_cyclic_node_structure_rejected(self):
-        arcs = ((Activity(1, 5), 1, 2), (Activity(2, 5), 2, 1))
+        columns = ((1, 2), (1, 2), (2, 1), (5, 5), (1, 1))
         with pytest.raises(InstanceError, match="cycle"):
-            derive_precedence_from_nodes(arcs)
+            derive_precedence_from_nodes(columns)
 
 
 class TestParseAoa:
     def test_table1_arcs(self):
-        arcs = parse_aoa_instance(TABLE1_TEXT)
-        assert len(arcs) == 17
-        activity, start, end = arcs[0]
-        assert (activity.id, start, end, activity.duration) == (1, 0, 2, 20)
+        ids, starts, ends, durations, demands = parse_aoa_instance(TABLE1_TEXT)
+        assert len(ids) == len(starts) == len(ends) == len(durations) == len(demands) == 17
+        assert (ids[0], starts[0], ends[0], durations[0]) == (1, 0, 2, 20)
 
     def test_empty_instance(self):
         with pytest.raises(InstanceError, match="empty instance"):
@@ -80,7 +82,7 @@ class TestParseAoa:
 
     def test_demand_defaults_to_one(self):
         text = '{"format": "aoa-v1", "arcs": [{"id": 1, "start": 0, "end": 1, "duration": 2}]}'
-        assert parse_aoa_instance(text)[0][0].resource_demand == 1
+        assert parse_aoa_instance(text) == ((1,), (0,), (1,), (2,), (1,))
         with pytest.raises(InstanceError) as exc:  # an integral float is not an integer
             parse_aoa_instance(text.replace('"id": 1', '"id": 1.0'))
         assert str(exc.value) == "arcs[0] 'id' must be int, got 1.0"
@@ -130,17 +132,17 @@ class TestParseAoa:
         assert str(exc.value) == message
 
 
-def _reference_arcs(records: list) -> tuple[tuple[Activity, int, int], ...]:
+def _reference_columns(records: list) -> tuple[tuple[int, ...], ...]:
     """The aoa-v1 record loop without the exact-int fast path: every record
     read through the checker, then the activity and the self-loop check."""
-    arcs = []
+    rows = []
     for i, rec in enumerate(records):
         checked(f"arcs[{i}]", rec, dict.fromkeys(ARC_KEYS, "int"), required=ARC_KEYS[:4])
         activity = Activity(rec["id"], rec["duration"], rec.get("demand", 1))
         if rec["start"] == rec["end"]:
             raise InstanceError(f"activity {rec['id']}: self-loop at node {rec['start']}")
-        arcs.append((activity, rec["start"], rec["end"]))
-    return tuple(arcs)
+        rows.append((activity.id, rec["start"], rec["end"], activity.duration, activity.resource_demand))
+    return tuple(zip(*rows))
 
 
 FIELD_VALUES = st.one_of(
@@ -186,7 +188,88 @@ def _outcome(parse, data):
 def test_exact_int_parse_equals_field_by_field_parse(records):
     document = json.dumps({"format": AOA_FORMAT, "arcs": records})
     decoded = json.loads(document)["arcs"]  # NaN and the floats as the parser sees them
-    assert _outcome(parse_aoa_instance, document) == _outcome(_reference_arcs, decoded)
+    assert _outcome(parse_aoa_instance, document) == _outcome(_reference_columns, decoded)
+
+
+def _network_from_records(arcs: list[dict]) -> ProjectNetwork:
+    """The precedence network of aoa-v1 records, built through the
+    constructor: j follows i iff j starts at the node where i ends."""
+    ending: dict[int, set[int]] = {}
+    for arc in arcs:
+        ending.setdefault(arc["end"], set()).add(arc["id"])
+    return ProjectNetwork(
+        activities=tuple(Activity(a["id"], a["duration"], a.get("demand", 1)) for a in arcs),
+        predecessors={a["id"]: frozenset(ending.get(a["start"], ())) for a in arcs},
+    )
+
+
+@st.composite
+def aoa_documents(draw):
+    """Valid aoa-v1 documents of up to 12 arcs over 8 event nodes; now and
+    then an arc runs backwards, which may close a cycle, or an id repeats."""
+    n = draw(st.integers(1, 12))
+    ids = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n, unique=True))
+    if n > 1 and draw(st.integers(0, 9)) == 0:
+        ids[draw(st.integers(1, n - 1))] = ids[0]
+    arcs = []
+    for aid in ids:
+        start = draw(st.integers(0, 6))
+        end = draw(st.integers(start + 1, 7))
+        if draw(st.integers(0, 9)) == 0:
+            start, end = end, start
+        arc = {"id": aid, "start": start, "end": end, "duration": draw(st.integers(0, 9))}
+        if draw(st.booleans()):
+            arc["demand"] = draw(st.integers(0, 3))
+        arcs.append(arc)
+    return {"format": AOA_FORMAT, "arcs": arcs}
+
+
+@pytest.fixture(scope="module")
+def aoa_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("aoa") / "instance.json"
+
+
+@settings(max_examples=200, deadline=None)
+@given(aoa_documents())
+def test_columnar_load_equals_network_built_from_records(aoa_path, document):
+    aoa_path.write_text(json.dumps(document), encoding="utf-8")
+    reference = _network_from_records(document["arcs"])
+    try:
+        view = reference.compiled
+    except InstanceError as exc:
+        with pytest.raises(InstanceError) as raised:
+            load_network(str(aoa_path))
+        assert str(raised.value) == str(exc)
+        return
+    loaded = load_network(str(aoa_path))
+    assert loaded.compiled == view  # every field of the view
+    assert compute_cpm(loaded) == compute_cpm(reference)
+    assert "activities" not in vars(loaded)
+    assert loaded.ids == reference.ids
+    assert loaded.activities == reference.activities
+    assert loaded.predecessors == reference.predecessors
+    assert loaded == reference
+    assert repr(loaded) == repr(ProjectNetwork(loaded.activities, loaded.predecessors))
+    longer = tuple(replace(a, duration=a.duration + 1) for a in loaded.activities)
+    bumped = replace(loaded, activities=longer)
+    assert bumped == replace(reference, activities=longer)
+    assert compute_cpm(bumped) == compute_cpm(replace(reference, activities=longer))
+
+
+@pytest.mark.parametrize("algo", list(ALGORITHMS))
+def test_loaded_network_builds_activities_only_when_read(algo):
+    net = load_network("table1")
+    compute_cpm(net)
+    assert "activities" not in vars(net)
+    config_type, run = ALGORITHMS[algo]
+    best = run(rcpsp_problem(net, 7), config_type(max_evaluations=200), 1).best
+    resource_profile(net, serial_sgs(net, 7, best))
+    constrained_critical(net, 7, best)
+    assert "activities" not in vars(net)
+    assert net.activities == tuple(map(Activity, net.ids, net.compiled.durations, net.compiled.demands))
+    assert vars(net)["activities"] is net.activities
+    with pytest.raises(AttributeError):
+        net.activity_count
 
 
 class TestParseTctp:
