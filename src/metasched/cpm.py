@@ -4,11 +4,13 @@ makespan."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import add, eq, sub
 
 from .model import CompiledNetwork, InstanceError, ProjectNetwork
 
 
-@dataclass(frozen=True)
+@dataclass
 class CpmRow:
     early_start: int
     early_finish: int
@@ -64,14 +66,12 @@ def compute_cpm(net: ProjectNetwork) -> CpmResult:
     """Both passes plus floats; critical activities are those with zero float."""
     view = net.compiled
     durations = view.durations
-    finish = forward_pass(view, durations)
-    makespan = max(finish, default=0)
-    start = backward_pass(view, durations, makespan)
-    rows = {}
-    critical = []
-    for aid, d, ef, ls in zip(view.ids, durations, finish, start):
-        es = ef - d
-        rows[aid] = CpmRow(es, ef, ls, ls + d, ls - es)
-        if ls == es:
-            critical.append(aid)
-    return CpmResult(rows=rows, makespan=makespan, critical=frozenset(critical))
+    ef = forward_pass(view, durations)
+    makespan = max(ef, default=0)
+    ls = backward_pass(view, durations, makespan)
+    es = list(map(sub, ef, durations))
+    lf = map(add, ls, durations)
+    tf = map(sub, ls, es)
+    rows = dict(zip(view.ids, map(CpmRow, es, ef, ls, lf, tf)))
+    critical = frozenset(compress(view.ids, map(eq, ls, es)))
+    return CpmResult(rows=rows, makespan=makespan, critical=critical)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import islice, repeat
 
 AOA_FORMAT = "aoa-v1"
 TCTP_FORMAT = "tctp-v1"
@@ -205,8 +205,8 @@ def derive_precedence_from_nodes(columns: tuple[tuple[int, ...], ...]) -> Projec
     # ends) there, and ascending because the arcs were taken in order.
     into = {node: tuple(arcs) for node, arcs in ending.items()}
     out_of = {node: tuple(arcs) for node, arcs in starting.items()}
-    preds = tuple(into.get(start, ()) for start in starts)
-    succs = tuple(out_of.get(end, ()) for end in ends)
+    preds = tuple(map(into.get, starts, repeat(())))
+    succs = tuple(map(out_of.get, ends, repeat(())))
     view = CompiledNetwork(ids, index, _level_order(ids, preds, succs), preds, succs, durations, demands)
     net = object.__new__(ProjectNetwork)
     net.__dict__.update(ids=ids, compiled=view)

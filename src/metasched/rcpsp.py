@@ -21,8 +21,20 @@ class SchedulingError(ValueError):
 
 @dataclass(frozen=True)
 class Schedule:
+    """Start times by activity id, in list order, and the makespan. A
+    schedule `serial_sgs` returns keeps its decode's (order, starts) pair and
+    builds `start_times` from it when it is first read."""
+
     start_times: dict[int, int]
     makespan: int
+
+    def __getattr__(self, name: str):
+        # Reached only when `name` is not in the instance dict: for
+        # `start_times`, only on a decoded schedule not yet read.
+        if name != "start_times" or "_decoded" not in self.__dict__:
+            raise AttributeError(name)
+        value = self.__dict__["start_times"] = dict(zip(*self.__dict__.pop("_decoded")))
+        return value
 
 
 @dataclass(frozen=True)
@@ -136,9 +148,10 @@ def serial_sgs(net: ProjectNetwork, capacity: int, order: tuple[int, ...]) -> Sc
     activity's whole (non-preemptive) duration.
 
     The decode reads the compiled view's dense lists; finishes are kept by
-    index, -1 until placed, and the start-time dict is built once at the
-    end. An unknown id or a predecessor still at -1 raises `SchedulingError`
-    naming it; an activity left at -1 after the walk means a repeated id.
+    index, -1 until placed, and the start-time dict is built, in list order,
+    when the schedule's `start_times` is first read. An unknown id or a
+    predecessor still at -1 raises `SchedulingError` naming it; an activity
+    left at -1 after the walk means a repeated id.
 
     When capacity binds (it is below the total demand), usage is kept as a
     piecewise-constant profile: sorted breakpoint `times` and the `loads`
@@ -178,7 +191,6 @@ def _decode(view: CompiledNetwork, durations, capacity: int, order: tuple[int, .
         except KeyError:
             raise SchedulingError(f"activity list is not precedence-feasible: {order} (at {aid!r})") from None
         d = durations[i]
-        dem = demands[i]
         t = 0
         for p in preds[i]:
             f = finish[p]
@@ -186,7 +198,7 @@ def _decode(view: CompiledNetwork, durations, capacity: int, order: tuple[int, .
                 t = f
             elif f < 0:
                 raise SchedulingError(f"activity list is not precedence-feasible: {order} (at {view.ids[p]})")
-        if binding and d > 0 and dem > 0:
+        if binding and d > 0 and (dem := demands[i]) > 0:
             # The load-0 piece before the sentinel always fits, because
             # capacity covers every single demand.
             room = capacity - dem
@@ -211,7 +223,9 @@ def _decode(view: CompiledNetwork, durations, capacity: int, order: tuple[int, .
         finish[i] = t + d
     if -1 in finish:
         raise SchedulingError(f"activity list repeats ids: {order}")
-    return Schedule(start_times=dict(zip(order, starts)), makespan=max(finish, default=0))
+    schedule = object.__new__(Schedule)
+    schedule.__dict__.update(_decoded=(tuple(order), starts), makespan=max(finish, default=0))
+    return schedule
 
 
 def resource_profile(net: ProjectNetwork, schedule: Schedule) -> ResourceProfile:

@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from metasched.cpm import backward_pass, compute_cpm
+from metasched.cpm import backward_pass, compute_cpm, forward_pass
 from metasched.model import Activity, InstanceError, ProjectNetwork
 
-from conftest import random_dag
+from conftest import dags, random_dag
 
 # (es, ef, ls, lf, tf) per activity for the bundled 17-activity network.
 TABLE1_ROWS = {
@@ -85,3 +86,27 @@ def test_total_float_nonnegative_random_networks():
             assert row.total_float >= 0
             assert row.early_finish - row.early_start == row.late_finish - row.late_start
         assert result.critical, "at least one critical activity must exist"
+
+
+@settings(max_examples=200, deadline=None)
+@given(dags())
+def test_rows_follow_the_pass_columns(net):
+    """Rows are keyed in `view.ids` order, each row's fields are the five
+    values in declaration order (the benchmark digests `vars(row)`), and
+    the critical set is the rows with zero float."""
+    view = net.compiled
+    finish = forward_pass(view, view.durations)
+    start = backward_pass(view, view.durations, max(finish))
+    result = compute_cpm(net)
+    assert list(result.rows) == list(view.ids)
+    for aid, d, ef, ls in zip(view.ids, view.durations, finish, start):
+        expected = {
+            "early_start": ef - d,
+            "early_finish": ef,
+            "late_start": ls,
+            "late_finish": ls + d,
+            "total_float": ls - (ef - d),
+        }
+        assert list(vars(result.rows[aid]).items()) == list(expected.items()), f"activity {aid}"
+    assert result.makespan == max(finish)
+    assert result.critical == {aid for aid, row in result.rows.items() if row.total_float == 0}

@@ -5,7 +5,10 @@ shares no code with `serial_sgs`. Both read durations from the network, so
 every decode the library makes can be checked against it.
 """
 
+import copy
+import pickle
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,14 @@ from hypothesis import strategies as st
 
 from metasched.model import Activity, ProjectNetwork
 from metasched.oracle import oracle_serial_sgs
-from metasched.rcpsp import SchedulingError, check_schedule, random_activity_list, serial_sgs
+from metasched.rcpsp import (
+    Schedule,
+    SchedulingError,
+    check_schedule,
+    random_activity_list,
+    resource_profile,
+    serial_sgs,
+)
 
 from conftest import dags, is_precedence_feasible
 
@@ -40,6 +50,47 @@ def test_start_times_match_oracle(case):
     schedule = serial_sgs(net, capacity, order)
     assert schedule.start_times == oracle_serial_sgs(net, capacity, order)
     assert check_schedule(net, schedule, capacity) == []
+
+
+@PROPERTY
+@given(decode_cases())
+def test_decoded_schedule_equals_an_eager_one(case):
+    """`serial_sgs` builds `start_times` on first read. Read through any
+    door, an unread decoded schedule is the `Schedule` built eagerly from
+    the oracle's starts in list order."""
+    net, capacity, order = case
+    starts = oracle_serial_sgs(net, capacity, order)
+    durations = {a.id: a.duration for a in net.activities}
+    eager = Schedule(
+        start_times={aid: starts[aid] for aid in order},
+        makespan=max(starts[aid] + durations[aid] for aid in order),
+    )
+    doors = {
+        "itself": lambda s: s,
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda s: pickle.loads(pickle.dumps(s)),
+        "replace": replace,
+    }
+    for name, door in doors.items():
+        assert door(serial_sgs(net, capacity, order)) == eager, name
+        assert repr(door(serial_sgs(net, capacity, order))) == repr(eager), name
+        assert list(door(serial_sgs(net, capacity, order)).start_times) == list(order), name
+    assert replace(serial_sgs(net, capacity, order), makespan=-1) == replace(eager, makespan=-1)
+    assert check_schedule(net, serial_sgs(net, capacity, order), capacity) == []
+    assert resource_profile(net, serial_sgs(net, capacity, order)) == resource_profile(net, eager)
+
+    # A list changed after the decode does not change the schedule.
+    edited = list(order)
+    schedule = serial_sgs(net, capacity, edited)
+    edited.reverse()
+    assert schedule.start_times == eager.start_times
+
+    schedule = serial_sgs(net, capacity, order)
+    assert schedule.makespan == eager.makespan
+    assert "start_times" not in vars(schedule)
+    assert schedule.start_times == eager.start_times
+    assert sorted(vars(schedule)) == ["makespan", "start_times"]
 
 
 @st.composite
