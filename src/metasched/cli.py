@@ -59,11 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cpm.set_defaults(handler=cmd_cpm)
 
     # rcpsp and tctp: the same search flags around one problem flag and one output flag each.
-    for name, text, (problem_flag, required), (output_flag, dest, output_text), handler in (
+    for name, text, (problem_flag, required), (output_flag, dest, kind, output_text), handler in (
         ("rcpsp", "resource-constrained scheduling search", ("--capacity", True),
-         ("--list", "fixed_list", "comma-separated activity ids; decode without searching"), cmd_rcpsp),
+         ("--list", "fixed_list", _id_list, "comma-separated activity ids; decode without searching"), cmd_rcpsp),
         ("tctp", "time-cost trade-off search", ("--indirect-cost", False),
-         ("--emit-front", "emit_front", "write this run's non-dominated set as CSV"), cmd_tctp),
+         ("--emit-front", "emit_front", str, "write this run's non-dominated set as CSV"), cmd_tctp),
     ):
         p_search = sub.add_parser(name, help=text)
         p_search.add_argument("--instance", required=True)
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_search.add_argument("--algo", choices=ALGORITHMS)  # unset: ga
         p_search.add_argument("--seed", type=int)
         p_search.add_argument("--max-evals", type=_positive_int)  # unset: the config's max_evaluations
-        p_search.add_argument(output_flag, dest=dest, help=output_text)
+        p_search.add_argument(output_flag, dest=dest, type=kind, help=output_text)
         p_search.add_argument("--format", choices=FORMATS, default="table")
         p_search.add_argument("--trace", help="write per-evaluation best-so-far CSV here")
         p_search.add_argument("--config", help="algorithm config file (JSON); defaults to $METASCHED_CONFIG")
@@ -133,6 +133,14 @@ def _id_set(text: str) -> range | set[int]:
     raise argparse.ArgumentTypeError(
         f"expected an id range like 1-8 or ids like 1,3,5, got {text!r}"
     )
+
+
+def _id_list(text: str) -> tuple[int, ...]:
+    """Comma-separated activity ids, in the order given."""
+    try:
+        return tuple(map(int, text.split(",")))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated activity ids, got {text!r}") from None
 
 
 # Algorithm config flags: (flag, algorithm, config field, argparse type, help).
@@ -215,13 +223,13 @@ def cmd_cpm(args, parser) -> int:
 
 def cmd_rcpsp(args, parser) -> int:
     net = load_network(args.instance)
-    if args.fixed_list:
+    if args.fixed_list is not None:
         flags = ("--trace", "--seed", "--algo", "--max-evals", "--config", *(flag for flag, *_ in CONFIG_FLAGS))
         given = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) is not None]
         if given:
             verb, pronoun = ("needs", "it") if len(given) == 1 else ("need", "them")
             parser.error(f"{', '.join(given)} {verb} a search run (omit {pronoun} with --list)")
-        order = tuple(int(x) for x in args.fixed_list.split(","))
+        order = args.fixed_list
     else:
         if args.seed is None:
             parser.error("--seed is required for stochastic runs (omit only with --list)")

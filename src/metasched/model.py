@@ -73,12 +73,28 @@ class ProjectNetwork:
 
     @cached_property
     def compiled(self) -> CompiledNetwork:
-        """The dense-index view every graph walk reads, built on first use."""
-        return CompiledNetwork.build(self)
+        """The dense-index view every graph walk reads, built on first use.
+
+        Raises `InstanceError` on a duplicate id, a reference to an unknown
+        activity, or a cycle.
+        """
+        ids = self.ids
+        index = _index(ids)
+        position, listed = index.__getitem__, self.predecessors.get
+        preds = []
+        try:
+            for aid in ids:
+                preds.append(tuple(sorted(map(position, listed(aid, ())))))
+        except KeyError as exc:
+            raise InstanceError(
+                f"activity {aid} depends on nonexistent activity {exc.args[0]}"
+            ) from None
+        durations = tuple(a.duration for a in self.activities)
+        return _view(ids, index, tuple(preds), durations, tuple(a.resource_demand for a in self.activities))
 
     def topological_order(self) -> tuple[int, ...]:
-        """Deterministic topological order: level by level from the sources,
-        ties broken by activity id."""
+        """A topological order of the activity ids, fixed for a given
+        network: the compiled view's `order`."""
         return tuple(map(self.compiled.ids.__getitem__, self.compiled.order))
 
 
@@ -87,11 +103,10 @@ class CompiledNetwork:
     """Dense-index view of a `ProjectNetwork`: activity `ids[i]` is index i,
     in the network's activity order, and every list below is indexed by i.
 
-    `order` holds the indices level by level (an activity's level is the
-    length of the longest predecessor chain ending at it), each level in
-    ascending id order. `preds`/`succs` hold index tuples in ascending index
-    order, `durations` the activities' own durations and `demands` their
-    resource demands.
+    `order` is a topological order of the indices, fixed for a given input:
+    the walk of Kahn's source elimination. `preds`/`succs` hold index tuples
+    in ascending index order, `durations` the activities' own durations and
+    `demands` their resource demands.
     """
 
     ids: tuple[int, ...]
@@ -101,39 +116,6 @@ class CompiledNetwork:
     succs: tuple[tuple[int, ...], ...]
     durations: tuple[int, ...]
     demands: tuple[int, ...]
-
-    @classmethod
-    def build(cls, net: ProjectNetwork) -> CompiledNetwork:
-        """The view of `net`'s activities and predecessor sets.
-
-        Raises `InstanceError` on a duplicate id, a reference to an unknown
-        activity, or a cycle.
-        """
-        ids = net.ids
-        index = _index(ids)
-        position, listed = index.__getitem__, net.predecessors.get
-        preds = []
-        try:
-            for aid in ids:
-                preds.append(tuple(sorted(map(position, listed(aid, ())))))
-        except KeyError as exc:
-            raise InstanceError(
-                f"activity {aid} depends on nonexistent activity {exc.args[0]}"
-            ) from None
-        succs: list[list[int]] = [[] for _ in ids]
-        for i, ps in enumerate(preds):
-            for p in ps:
-                succs[p].append(i)
-        preds, succs = tuple(preds), tuple(map(tuple, succs))
-        return cls(
-            ids=ids,
-            index=index,
-            order=_level_order(ids, preds, succs),
-            preds=preds,
-            succs=succs,
-            durations=tuple(a.duration for a in net.activities),
-            demands=tuple(a.resource_demand for a in net.activities),
-        )
 
 
 def _index(ids: tuple[int, ...]) -> dict[int, int]:
@@ -148,29 +130,29 @@ def _index(ids: tuple[int, ...]) -> dict[int, int]:
     return index
 
 
-def _level_order(ids: tuple[int, ...], preds, succs) -> tuple[int, ...]:
-    """The indices level by level, each level in ascending id order: Kahn's
-    source elimination in O(n + e), then stable sorts by id and by level.
+def _view(ids: tuple[int, ...], index: dict[int, int], preds, durations, demands) -> CompiledNetwork:
+    """The view over `preds`, each an ascending index tuple. `succs` is
+    derived from them, and `order` is Kahn's source elimination in O(n + e)
+    as it walks: the sources in index order, then first in, first out.
 
     A cycle raises `InstanceError` naming every activity the elimination
     could not reach.
     """
-    indegree = [len(ps) for ps in preds]
-    level = [0] * len(ids)
-    done = [i for i, deg in enumerate(indegree) if deg == 0]
-    for i in done:  # grows while it is walked: a FIFO queue
+    succs: list[list[int]] = [[] for _ in ids]
+    for i, ps in enumerate(preds):
+        for p in ps:
+            succs[p].append(i)
+    indegree = list(map(len, preds))
+    order = [i for i, deg in enumerate(indegree) if not deg]
+    for i in order:  # grows while it is walked: a FIFO queue
         for s in succs[i]:
-            if level[s] <= level[i]:
-                level[s] = level[i] + 1
             indegree[s] -= 1
-            if indegree[s] == 0:
-                done.append(s)
-    if len(done) < len(ids):
+            if not indegree[s]:
+                order.append(s)
+    if len(order) < len(ids):
         stuck = sorted(ids[i] for i, deg in enumerate(indegree) if deg)
         raise InstanceError(f"cycle among activities {stuck}")
-    done.sort(key=ids.__getitem__)
-    done.sort(key=level.__getitem__)  # stable: ties stay in id order
-    return tuple(done)
+    return CompiledNetwork(ids, index, tuple(order), preds, tuple(map(tuple, succs)), durations, demands)
 
 
 def validate_network(net: ProjectNetwork) -> list[str]:
@@ -195,19 +177,13 @@ def derive_precedence_from_nodes(columns: tuple[tuple[int, ...], ...]) -> Projec
     raises `InstanceError`.
     """
     ids, starts, ends, durations, demands = columns
-    index = _index(ids)
     ending: dict[int, list[int]] = {}
-    starting: dict[int, list[int]] = {}
-    for i, (start, end) in enumerate(zip(starts, ends)):
+    for i, end in enumerate(ends):
         ending.setdefault(end, []).append(i)
-        starting.setdefault(start, []).append(i)
-    # One index tuple per event node, shared by every arc that starts (or
-    # ends) there, and ascending because the arcs were taken in order.
+    # One index tuple per event node, shared by every arc that starts there,
+    # and ascending because the arcs were taken in order.
     into = {node: tuple(arcs) for node, arcs in ending.items()}
-    out_of = {node: tuple(arcs) for node, arcs in starting.items()}
-    preds = tuple(map(into.get, starts, repeat(())))
-    succs = tuple(map(out_of.get, ends, repeat(())))
-    view = CompiledNetwork(ids, index, _level_order(ids, preds, succs), preds, succs, durations, demands)
+    view = _view(ids, _index(ids), tuple(map(into.get, starts, repeat(()))), durations, demands)
     net = object.__new__(ProjectNetwork)
     net.__dict__.update(ids=ids, compiled=view)
     return net

@@ -266,6 +266,14 @@ class TestRcpspCommand:
         err = usage_error(capsys, *RCPSP_TABLE1, "--list", TABLE1_LIST, flag, value)
         assert f"error: {flag} needs a search run (omit it with --list)" in err
 
+    @pytest.mark.parametrize("text", ["", "4,10,1,", "1,x", ","])
+    @pytest.mark.parametrize("search_flags", [(), ("--seed", "1", "--max-evals", "50")], ids=["decode", "search"])
+    def test_list_that_is_not_ids_is_usage_error(self, capsys, text, search_flags):
+        """A given `--list` is a list, even an empty one: it is never taken
+        for no list, and a list that is not comma-separated ids is named."""
+        err = usage_error(capsys, *RCPSP_TABLE1, "--list", text, *search_flags)
+        assert f"error: argument --list: expected comma-separated activity ids, got {text!r}" in err
+
     def test_list_names_every_search_flag_and_never_reads_the_config(self, capsys, tmp_path, monkeypatch):
         config = tmp_path / "config.json"
         config.write_text("not JSON", encoding="utf-8")

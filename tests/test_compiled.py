@@ -1,14 +1,18 @@
 """The compiled network view against independent references.
 
-The references below are copies of the set-scanning implementations that the
-compiled view replaced: a level-by-level topological sort, a random activity
-list that rescans every remaining activity per pick, a precedence repair over
+The view's topological order is checked as a witness: a permutation of the
+ids with every activity after its predecessors, the same on every build of
+one input. The references below are copies of the set-scanning
+implementations that the compiled view replaced: a level-by-level
+topological sort, whose leftover ids name a cycle, a random activity list
+that rescans every remaining activity per pick, a precedence repair over
 id-keyed dictionaries, and an order crossover that fills one position at a
-time. Seeded runs must not move, so the view has to reproduce them exactly,
-including every `rng` draw.
+time. Seeded runs must not move, so the view has to reproduce the last three
+exactly, including every `rng` draw.
 """
 
 import heapq
+import json
 import random
 
 import pytest
@@ -22,13 +26,16 @@ from metasched.model import (
     InstanceError,
     ProjectNetwork,
     TctpInstance,
+    derive_precedence_from_nodes,
+    parse_aoa_instance,
     validate_network,
 )
 from metasched.oracle import longest_path_makespan
 from metasched.problems import rcpsp_problem, tctp_problem
 from metasched.rcpsp import order_crossover, random_activity_list, repair_precedence
 
-from conftest import dags
+from conftest import dags, is_precedence_feasible
+from test_metamorphic import aoa_documents
 
 
 def reference_levels(net):
@@ -92,11 +99,25 @@ PROPERTY = settings(max_examples=150, deadline=None)
 
 @PROPERTY
 @given(dags())
-def test_topological_order_is_level_order(net):
-    order, stuck = reference_levels(net)
-    assert stuck == []
-    assert net.topological_order() == order
+def test_topological_order_is_a_witness(net):
+    order = net.topological_order()
+    assert is_precedence_feasible(net, order)
+    assert ProjectNetwork(net.activities, net.predecessors).topological_order() == order
     assert validate_network(net) == []
+
+
+@PROPERTY
+@given(aoa_documents())
+def test_loaded_topological_order_is_a_witness(document):
+    """On a network loaded from columns, checked against the arcs' event
+    nodes: an arc comes after every arc that ends where it starts."""
+    text = json.dumps(document)
+    order = derive_precedence_from_nodes(parse_aoa_instance(text)).topological_order()
+    arcs = document["arcs"]
+    assert sorted(order) == sorted(arc["id"] for arc in arcs)
+    position = {aid: k for k, aid in enumerate(order)}
+    assert all(position[a["id"]] < position[b["id"]] for a in arcs for b in arcs if a["end"] == b["start"])
+    assert derive_precedence_from_nodes(parse_aoa_instance(text)).topological_order() == order
 
 
 @PROPERTY

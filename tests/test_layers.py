@@ -122,7 +122,7 @@ def test_compiled_view_is_data():
     they walk, so no second pass grows back onto the view."""
     view = next(node for node in parse(PACKAGE / "model.py").body if getattr(node, "name", None) == "CompiledNetwork")
     methods = [node.name for node in view.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-    assert methods == ["build"]
+    assert methods == []
 
 
 def calls(tree: ast.AST, name: str):
@@ -132,6 +132,14 @@ def calls(tree: ast.AST, name: str):
             func = node.func
             if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name:
                 yield node
+
+
+def test_one_view_builder():
+    """Every `CompiledNetwork` is built at one call, so the records and the
+    columns of an instance share one successor derivation and one
+    topological walk, and no second builder grows back."""
+    built = [module for module, tree in package_trees().items() for _ in calls(tree, "CompiledNetwork")]
+    assert built == ["model.py"]
 
 
 def test_one_module_reads_json():
